@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive_rng, ensure_rng
+from repro.common.rng import derive_seed_words, ensure_rng, label_seed
 from repro.cache.cache_set import CacheSet
 from repro.cache.line import EvictedLine
 from repro.mem.address import AddressLayout
@@ -37,6 +37,67 @@ class AllocationPolicy(enum.Enum):
     NO_WRITE_ALLOCATE = "no-write-allocate"
 
 
+class SetTable(Sequence):
+    """The sets of one cache level, each built on first touch.
+
+    A cache channel works on a handful of sets, so building all of them
+    up front (each with its own seeded policy) dominated short runs.
+    Seeds stay bit-identical to eager construction: the constructor
+    takes the per-set words from one :func:`derive_seed_words` call,
+    which advances ``master`` exactly as ``num_sets`` sequential
+    ``derive_rng(master, f"{name}/set{i}")`` calls did, and set ``i``
+    is seeded with ``label_seed(words[i], f"{name}/set{i}")`` whenever it
+    is built.  Build order therefore never changes a result.
+
+    ``slots`` is the plain list the cache's hot paths index (``None`` for
+    an unbuilt set, so ``slots[i] or build(i)``).  Indexing and iteration
+    present every set, building as needed; :meth:`built` walks only the
+    sets that exist.  The table holds no reference to its cache, so a
+    dropped hierarchy is freed by reference counting alone.
+    """
+
+    __slots__ = ("slots", "_words", "_name", "_ways", "_policy_factory", "_set_class")
+
+    def __init__(
+        self,
+        name: str,
+        num_sets: int,
+        ways: int,
+        policy_factory: PolicyFactory,
+        set_class: Callable[[int, object], CacheSet],
+        master: random.Random,
+    ) -> None:
+        self.slots: List[Optional[CacheSet]] = [None] * num_sets
+        self._words = derive_seed_words(master, num_sets)
+        self._name = name
+        self._ways = ways
+        self._policy_factory = policy_factory
+        self._set_class = set_class
+
+    def build(self, index: int) -> CacheSet:
+        """Build set ``index`` (which must not exist yet) and return it."""
+        rng = random.Random(label_seed(self._words[index], f"{self._name}/set{index}"))
+        cache_set = self._set_class(self._ways, self._policy_factory(self._ways, rng))
+        self.slots[index] = cache_set
+        return cache_set
+
+    def __getitem__(self, index: int) -> CacheSet:
+        if not 0 <= index < len(self.slots):
+            raise IndexError(f"set index {index} out of range [0, {len(self.slots)})")
+        return self.slots[index] or self.build(index)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def built(self) -> Iterator[Tuple[int, CacheSet]]:
+        """``(index, set)`` for every set built so far, in index order."""
+        return ((i, s) for i, s in enumerate(self.slots) if s is not None)
+
+    def built_count(self) -> int:
+        """How many sets exist."""
+        return len(self.slots) - self.slots.count(None)
+
+
 class Cache:
     """One level of a set-associative cache.
 
@@ -47,7 +108,8 @@ class Cache:
     size_bytes, associativity, line_size:
         Geometry; ``size = sets * ways * line_size`` must hold exactly.
     policy_factory:
-        ``factory(ways, rng) -> ReplacementPolicy``; one instance per set.
+        ``factory(ways, rng) -> ReplacementPolicy``; one instance per set,
+        made when the set is first touched (see :class:`SetTable`).
     write_policy, allocation_policy:
         Store semantics; the paper's target configuration is write-back +
         write-allocate (the near-universal pairing, Section 2.2).
@@ -82,24 +144,19 @@ class Cache:
         self.layout = AddressLayout(line_size=line_size, num_sets=num_sets)
         self.write_policy = write_policy
         self.allocation_policy = allocation_policy
-        master = ensure_rng(rng)
-        self.sets: List[CacheSet] = [
-            self._make_set(
-                associativity,
-                policy_factory(associativity, derive_rng(master, f"{name}/set{i}")),
-            )
-            for i in range(num_sets)
-        ]
+        self.sets = SetTable(
+            name, num_sets, associativity, policy_factory, self.set_class,
+            ensure_rng(rng),
+        )
+        # Hot paths index the raw slot list: ``_slots[i] or _build_set(i)``.
+        self._slots = self.sets.slots
+        self._build_set = self.sets.build
 
-    def _make_set(self, ways: int, policy) -> CacheSet:
-        """Set-construction hook; the fast engine substitutes its SoA set.
-
-        Overriders must return an object with the :class:`CacheSet` public
-        surface (``find``/``fill``/``invalidate``/counters/locking); the
-        per-set policy RNG derivation above is shared so both engines draw
-        identical random streams.
-        """
-        return CacheSet(ways, policy)
+    #: Set type, built as ``set_class(ways, policy)``; the fast engine
+    #: substitutes its SoA set, which has the :class:`CacheSet` public
+    #: surface.  Seeding lives in :class:`SetTable`, so both engines
+    #: draw identical streams.
+    set_class: Callable[[int, object], CacheSet] = CacheSet
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -111,7 +168,8 @@ class Cache:
 
     def set_for(self, address: int) -> CacheSet:
         """The set that ``address`` maps to."""
-        return self.sets[self.set_index(address)]
+        set_index = self.set_index(address)
+        return self._slots[set_index] or self._build_set(set_index)
 
     def set_index(self, address: int) -> int:
         """Set index of ``address`` (hook point for randomized mapping)."""
@@ -179,7 +237,8 @@ class Cache:
     ) -> Optional[EvictedLine]:
         """Install the line of ``address``; returns the eviction, if any."""
         set_index = self.set_index(address)
-        return self.sets[set_index].fill(
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        return cache_set.fill(
             tag=self.tag_of(address),
             dirty=dirty,
             owner=owner,
@@ -196,10 +255,14 @@ class Cache:
     # Introspection
     # ------------------------------------------------------------------
     def dirty_lines_in_set(self, set_index: int) -> int:
-        """Dirty-line count of a set (experiments peek at the target set)."""
+        """Dirty-line count of a set (experiments peek at the target set).
+
+        An unbuilt set holds no lines, so it reads 0 and stays unbuilt.
+        """
         if not 0 <= set_index < self.num_sets:
             raise ConfigurationError(f"set_index {set_index} out of range")
-        return self.sets[set_index].dirty_count()
+        cache_set = self._slots[set_index]
+        return 0 if cache_set is None else cache_set.dirty_count()
 
     def describe(self) -> Dict[str, object]:
         """Human-readable configuration summary."""

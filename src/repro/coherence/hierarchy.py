@@ -345,7 +345,7 @@ class CoherentHierarchy:
         resident = set()
         for core, l1 in enumerate(self.l1s):
             layout = l1.layout
-            for set_index, cache_set in enumerate(l1.sets):
+            for set_index, cache_set in l1.sets.built():
                 for valid, tag, dirty, _locked, _owner in cache_set.way_states():
                     if not valid:
                         continue

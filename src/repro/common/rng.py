@@ -10,7 +10,9 @@ parameter changes.
 from __future__ import annotations
 
 import random
+import sys
 import zlib
+from array import array
 from typing import Optional, Union
 
 RngLike = Union[random.Random, int, None]
@@ -56,8 +58,30 @@ def derive_seed(parent: RngLike, label: str) -> int:
     therefore order-independent; passing a ``Random`` instance draws from
     it and advances its state, exactly like :func:`derive_rng`.
     """
-    parent_rng = ensure_rng(parent)
-    return parent_rng.getrandbits(32) ^ zlib.crc32(label.encode("utf-8"))
+    return label_seed(ensure_rng(parent).getrandbits(32), label)
+
+
+def label_seed(word: int, label: str) -> int:
+    """Mix a 32-bit draw with ``label`` into a child seed (CRC-32)."""
+    return word ^ zlib.crc32(label.encode("utf-8"))
+
+
+def derive_seed_words(parent: random.Random, count: int) -> "array[int]":
+    """The next ``count`` 32-bit draws of ``parent``, from one call.
+
+    ``parent.getrandbits(32 * count)`` packs exactly the words that
+    ``count`` sequential ``getrandbits(32)`` calls would return, first
+    draw least significant, and leaves ``parent`` in the same state.  So
+    ``label_seed(words[i], label_i)`` equals the ``i``-th of ``count``
+    sequential :func:`derive_seed` calls, and a caller can mix each word
+    only when it needs that child.  Unpacking into an ``array`` makes
+    each word an O(1) read.
+    """
+    words = array("I")  # 4-byte items on every supported platform
+    words.frombytes(parent.getrandbits(32 * count).to_bytes(4 * count, "little"))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words
 
 
 def maybe_seeded(seed: Optional[int]) -> random.Random:

@@ -96,7 +96,8 @@ class RandomizedMappingCache(Cache):
             # Re-keying flushes the cache in real designs; model the same.
             # invalidate_all keeps the per-set tag index and dirty/valid
             # counters in sync (direct line mutation would desync them).
-            for cache_set in self.sets:
+            # An unbuilt set holds nothing to flush, so it stays unbuilt.
+            for _, cache_set in self.sets.built():
                 cache_set.invalidate_all()
             self.key = self._rekey_rng.randrange(1, 1 << 16)
             self._accesses_since_rekey = 0

@@ -4,10 +4,10 @@
 public API (the hierarchy drives both engines through the exact same
 calls) and swaps in:
 
-* :class:`~repro.engine.fast_set.FastSet` sets via the ``_make_set`` hook —
-  the per-set policy RNG derivation in the base constructor is untouched,
-  so both engines hand identical ``random.Random`` streams to their
-  policies;
+* :class:`~repro.engine.fast_set.FastSet` sets via the ``set_class``
+  hook — per-set seeding and first-touch construction stay in the base
+  :class:`~repro.cache.cache.SetTable`, so both engines hand identical
+  ``random.Random`` streams to their policies;
 * cached address-field integers (``offset_bits``/index mask/tag shift) so
   the hot path avoids the property chain through
   :class:`~repro.mem.address.AddressLayout`;
@@ -31,6 +31,8 @@ __all__ = ["FastCache", "AllocationPolicy", "WritePolicy"]
 
 class FastCache(Cache):
     """Drop-in replacement for :class:`Cache` built on struct-of-arrays sets."""
+
+    set_class = FastSet
 
     def __init__(
         self,
@@ -58,9 +60,6 @@ class FastCache(Cache):
         self._index_mask = layout.num_sets - 1
         self._tag_shift = layout.offset_bits + layout.index_bits
 
-    def _make_set(self, ways: int, policy) -> FastSet:
-        return FastSet(ways, policy)
-
     # ------------------------------------------------------------------
     # Address helpers on cached integers
     # ------------------------------------------------------------------
@@ -77,16 +76,19 @@ class FastCache(Cache):
     # Hot-path operations
     # ------------------------------------------------------------------
     def probe(self, address: int) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
         return (address >> self._tag_shift) in cache_set._index
 
     def is_dirty(self, address: int) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
         way = cache_set._index.get(address >> self._tag_shift)
         return way is not None and bool(cache_set.dirty_mask & (1 << way))
 
     def lookup(self, address: int, owner: Optional[int]) -> bool:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
         way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             return False
@@ -96,7 +98,8 @@ class FastCache(Cache):
         return True
 
     def mark_dirty(self, address: int) -> None:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
         way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             raise ConfigurationError(
@@ -108,7 +111,8 @@ class FastCache(Cache):
         self, address: int, dirty: bool, owner: Optional[int]
     ) -> Optional[EvictedLine]:
         set_index = (address >> self._offset_bits) & self._index_mask
-        return self.sets[set_index].fill(
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        return cache_set.fill(
             tag=address >> self._tag_shift,
             dirty=dirty,
             owner=owner,
@@ -118,5 +122,6 @@ class FastCache(Cache):
         )
 
     def invalidate(self, address: int) -> Optional[EvictedLine]:
-        cache_set = self.sets[(address >> self._offset_bits) & self._index_mask]
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
         return cache_set.invalidate(address >> self._tag_shift)

@@ -120,16 +120,18 @@ def _run_trace_soa(
     keys = (ALL_OWNERS,) if owner is None else (owner, ALL_OWNERS)
     levels = hierarchy.levels
     num_levels = len(levels)
-    # Per level: [sets, offset_bits, index_mask, tag_shift, address_of,
-    #             counters-or-None].
+    # Per level: [slots, offset_bits, index_mask, tag_shift, address_of,
+    #             counters-or-None, build_set].  A slot is None until its
+    #             set's first touch (see repro.cache.cache.SetTable).
     data = [
         [
-            level.sets,
+            level._slots,
             level._offset_bits,
             level._index_mask,
             level._tag_shift,
             level._address_of,
             None,
+            level._build_set,
         ]
         for level in levels
     ]
@@ -147,7 +149,7 @@ def _run_trace_soa(
     out_dirty = result.dirty_evictions.append
 
     l1 = data[0]
-    l1_sets, l1_offset, l1_mask, l1_shift = l1[0], l1[1], l1[2], l1[3]
+    l1_slots, l1_offset, l1_mask, l1_shift, l1_build = l1[0], l1[1], l1[2], l1[3], l1[6]
     l1_hit_latency = hit_lat[0]
     memory_reads = 0
 
@@ -155,7 +157,8 @@ def _run_trace_soa(
         latency = rng_randint(0, jitter) if jitter else 0
 
         # --- walk, L1 step unrolled -----------------------------------
-        cache_set = l1_sets[(address >> l1_offset) & l1_mask]
+        set_index = (address >> l1_offset) & l1_mask
+        cache_set = l1_slots[set_index] or l1_build(set_index)
         way = cache_set._index.get(address >> l1_shift)
         counters = l1[5]
         if counters is None:
@@ -184,7 +187,8 @@ def _run_trace_soa(
         hit_level = MEMORY_LEVEL
         for index in range(1, num_levels):
             entry = data[index]
-            deep_set = entry[0][(address >> entry[1]) & entry[2]]
+            set_index = (address >> entry[1]) & entry[2]
+            deep_set = entry[0][set_index] or entry[6](set_index)
             deep_way = deep_set._index.get(address >> entry[3])
             hit = deep_way is not None
             counters = entry[5]
@@ -217,7 +221,8 @@ def _run_trace_soa(
         for index in range(deepest_fill - 1, -1, -1):
             entry = data[index]
             set_index = (address >> entry[1]) & entry[2]
-            evicted = entry[0][set_index].fill(
+            fill_set = entry[0][set_index] or entry[6](set_index)
+            evicted = fill_set.fill(
                 address >> entry[3], False, owner, set_index, entry[4], None
             )
             if evicted is None:
@@ -233,7 +238,7 @@ def _run_trace_soa(
         if write:
             # The line was just installed at L1 (write-allocate), so the
             # store hit path reduces to marking it dirty.
-            cache_set = l1_sets[(address >> l1_offset) & l1_mask]
+            cache_set = l1_slots[(address >> l1_offset) & l1_mask]
             cache_set.mark_dirty(cache_set._index[address >> l1_shift])
         out_level(hit_level)
         out_latency(latency)

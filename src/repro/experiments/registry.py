@@ -30,7 +30,6 @@ from repro.experiments import (
     table5,
     table6,
     table7,
-    trace_sweep,
 )
 
 #: ``run(profile, seed)`` callables keyed by experiment id.
@@ -58,7 +57,6 @@ _EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fault_tolerance": fault_tolerance.run,
     "ablation_errors": ablation_errors.run,
     "ablation_replacement_set": ablation_replacement_set.run,
-    "trace_sweep": trace_sweep.run,
 }
 
 

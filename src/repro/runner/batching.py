@@ -1,15 +1,12 @@
 """Opportunistic batch grouping of compatible task shards.
 
 Most sweep traffic — campaign points, seed shards, service jobs fanned
-out from one ``Axis`` — is many tasks over the *same* hierarchy geometry.
-The batch engine (:mod:`repro.engine.batch`) exploits that inside one
-process; this module exploits it across the work list: tasks that declare
-the same ``batch_hint`` (an opaque geometry label chosen by the
-submitter, e.g. :func:`repro.engine.batch.geometry_key` of a scenario's
-hierarchy) are coalesced into one *batch group* that a single worker
-executes back to back — one process spawn instead of N, warm imports and
-allocator, and same-geometry runs adjacent so the batch kernel's replica
-arrays stay hot.
+out from one ``Axis`` — is many small tasks over the *same* hierarchy
+geometry.  Tasks that declare the same ``batch_hint`` (an opaque label
+chosen by the submitter, e.g. a CRC of a scenario's hierarchy geometry,
+as ``scripts/run_campaign.py`` does) are coalesced into one *batch
+group* that a single worker executes back to back — one process spawn
+instead of N, with warm imports and allocator.
 
 Grouping is strictly a scheduling affinity:
 
@@ -31,8 +28,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.canonical import canonical_json
 from repro.runner.sharding import TaskSpec
 
-#: Hard ceiling on replicas per batch group, mirroring the batch
-#: driver's default chunk size: memory stays proportional to one group.
+#: Hard ceiling on members per batch group, so one worker's share of a
+#: large fan-out stays bounded.
 MAX_GROUP_SIZE = 256
 
 

@@ -39,7 +39,6 @@ EXPERIMENT_WEIGHTS: Dict[str, float] = {
     "table7": 0.8,
     "table5": 0.8,
     "sidechannel": 0.4,
-    "trace_sweep": 0.4,
     "fig5": 0.4,
     "table2": 0.3,
     "fig4": 0.3,

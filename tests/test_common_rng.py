@@ -2,7 +2,16 @@
 
 import random
 
-from repro.common.rng import derive_rng, ensure_rng, maybe_seeded
+from hypothesis import given, settings, strategies as st
+
+from repro.common.rng import (
+    derive_rng,
+    derive_seed,
+    derive_seed_words,
+    ensure_rng,
+    label_seed,
+    maybe_seeded,
+)
 
 
 class TestEnsureRng:
@@ -42,6 +51,24 @@ class TestDeriveRng:
         derive_rng(parent, "y")
         after_two = parent.random()
         assert after_one != after_two
+
+
+class TestDeriveSeedWords:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parent_seed=st.integers(min_value=0, max_value=2**64),
+        count=st.integers(min_value=0, max_value=300),
+    )
+    def test_bulk_words_equal_sequential_derivations(self, parent_seed, count):
+        bulk_parent = random.Random(parent_seed)
+        sequential_parent = random.Random(parent_seed)
+        labels = [f"L2/set{i}" for i in range(count)]
+        words = derive_seed_words(bulk_parent, count)
+        assert len(words) == count
+        assert [label_seed(w, label) for w, label in zip(words, labels)] == [
+            derive_seed(sequential_parent, label) for label in labels
+        ]
+        assert bulk_parent.getstate() == sequential_parent.getstate()
 
 
 class TestMaybeSeeded:

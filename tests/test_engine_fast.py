@@ -169,7 +169,7 @@ class TestFastSet:
 
 class TestSelection:
     def test_available_engines(self):
-        assert available_engines() == ["reference", "fast", "batch"]
+        assert available_engines() == ["reference", "fast"]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -178,8 +178,6 @@ class TestSelection:
     def test_cache_class_mapping(self):
         assert cache_class("reference") is Cache
         assert cache_class("fast") is FastCache
-        # "batch" changes sweep execution, not single-hierarchy storage.
-        assert cache_class("batch") is FastCache
 
     def test_engine_context_restores_previous(self):
         before = current_engine()
