@@ -1,18 +1,19 @@
-"""Bit-identity of the spec-rebased experiments against committed goldens.
+"""Bit-identity of every registered experiment against committed goldens.
 
-The WB-channel experiment family was rebased from imperative bodies onto
-``compile_scenario`` + the library specs.  These tests pin the refactor:
-each experiment's quick/seed-0 JSON must equal, byte for byte, the output
-captured from the pre-refactor implementation (``tests/golden/``).  Any
-drift — RNG consumption order, loop nesting, seed formulas, row shaping —
-fails here before it can silently change published numbers.
+Each experiment's quick/seed-0 JSON must equal, byte for byte, the output
+committed under ``tests/golden/``.  The WB-channel family was pinned when
+it was rebased onto ``compile_scenario`` + the library specs; the rest
+were pinned from the tree just before the two cache cores were merged
+into one.  Any drift — RNG consumption order, loop nesting, seed
+formulas, row shaping — fails here before it can silently change
+published numbers.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import available_experiments, run_experiment
 from repro.scenario.library import available_library_specs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -41,12 +42,20 @@ def test_every_library_spec_has_a_golden():
         assert (GOLDEN_DIR / f"{experiment_id}.quick-seed0.json").is_file()
 
 
-@pytest.mark.parametrize("experiment_id", SPEC_BACKED)
+def test_every_registered_experiment_has_a_golden():
+    goldens = sorted(path.name for path in GOLDEN_DIR.glob("*.quick-seed0.json"))
+    assert goldens == sorted(
+        f"{experiment_id}.quick-seed0.json"
+        for experiment_id in available_experiments()
+    )
+
+
+@pytest.mark.parametrize("experiment_id", available_experiments())
 def test_spec_rebased_experiment_matches_golden(experiment_id):
     golden_path = GOLDEN_DIR / f"{experiment_id}.quick-seed0.json"
     golden = golden_path.read_text(encoding="utf-8")
     result = run_experiment(experiment_id, profile="quick", seed=0)
     assert result.to_json(indent=2) + "\n" == golden, (
-        f"{experiment_id}: spec-compiled output drifted from the "
-        f"pre-refactor golden ({golden_path.name})"
+        f"{experiment_id}: output drifted from the committed golden "
+        f"({golden_path.name})"
     )
