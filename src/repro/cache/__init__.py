@@ -1,7 +1,7 @@
 """Cache substrate: lines, sets, set-associative caches, and the hierarchy.
 
 This package implements the write-back cache semantics the paper attacks.
-The single load-bearing behaviour is in :meth:`CacheSet.fill` /
+The single load-bearing behaviour is in :meth:`FastSet.fill` /
 :meth:`CacheHierarchy.access`: filling over a **dirty** victim costs a
 write-back penalty on top of the next-level hit latency, while a clean
 victim is replaced for free.  Everything else — write policies, allocation
@@ -9,9 +9,9 @@ policies, statistics, multi-level walks — exists so the attack, baseline
 channels, defenses, and benign workloads all run against one faithful model.
 """
 
-from repro.cache.line import CacheLine, EvictedLine
+from repro.cache.line import EvictedLine
 from repro.cache.latency import LatencyModel
-from repro.cache.cache_set import CacheSet
+from repro.cache.cache_set import FastSet
 from repro.cache.cache import (
     AllocationPolicy,
     Cache,
@@ -38,10 +38,9 @@ __all__ = [
     "AllocationPolicy",
     "Cache",
     "CacheHierarchy",
-    "CacheLine",
-    "CacheSet",
     "CacheStats",
     "EvictedLine",
+    "FastSet",
     "HierarchyParams",
     "LatencyModel",
     "LevelCounters",

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed_words, ensure_rng, label_seed
-from repro.cache.cache_set import CacheSet
+from repro.cache.cache_set import FastSet
 from repro.cache.line import EvictedLine
 from repro.mem.address import AddressLayout
 from repro.replacement.base import PolicyFactory
@@ -64,24 +64,24 @@ class SetTable(Sequence):
         num_sets: int,
         ways: int,
         policy_factory: PolicyFactory,
-        set_class: Callable[[int, object], CacheSet],
+        set_class: Callable[[int, object], FastSet],
         master: random.Random,
     ) -> None:
-        self.slots: List[Optional[CacheSet]] = [None] * num_sets
+        self.slots: List[Optional[FastSet]] = [None] * num_sets
         self._words = derive_seed_words(master, num_sets)
         self._name = name
         self._ways = ways
         self._policy_factory = policy_factory
         self._set_class = set_class
 
-    def build(self, index: int) -> CacheSet:
+    def build(self, index: int) -> FastSet:
         """Build set ``index`` (which must not exist yet) and return it."""
         rng = random.Random(label_seed(self._words[index], f"{self._name}/set{index}"))
         cache_set = self._set_class(self._ways, self._policy_factory(self._ways, rng))
         self.slots[index] = cache_set
         return cache_set
 
-    def __getitem__(self, index: int) -> CacheSet:
+    def __getitem__(self, index: int) -> FastSet:
         if not 0 <= index < len(self.slots):
             raise IndexError(f"set index {index} out of range [0, {len(self.slots)})")
         return self.slots[index] or self.build(index)
@@ -89,7 +89,7 @@ class SetTable(Sequence):
     def __len__(self) -> int:
         return len(self.slots)
 
-    def built(self) -> Iterator[Tuple[int, CacheSet]]:
+    def built(self) -> Iterator[Tuple[int, FastSet]]:
         """``(index, set)`` for every set built so far, in index order."""
         return ((i, s) for i, s in enumerate(self.slots) if s is not None)
 
@@ -148,15 +148,19 @@ class Cache:
             name, num_sets, associativity, policy_factory, self.set_class,
             ensure_rng(rng),
         )
-        # Hot paths index the raw slot list: ``_slots[i] or _build_set(i)``.
+        # Hot paths index the raw slot list: ``_slots[i] or _build_set(i)``,
+        # and split addresses with these cached integers instead of the
+        # property chain through ``self.layout``.
         self._slots = self.sets.slots
         self._build_set = self.sets.build
+        self._offset_bits = self.layout.offset_bits
+        self._index_mask = num_sets - 1
+        self._tag_shift = self.layout.offset_bits + self.layout.index_bits
 
-    #: Set type, built as ``set_class(ways, policy)``; the fast engine
-    #: substitutes its SoA set, which has the :class:`CacheSet` public
-    #: surface.  Seeding lives in :class:`SetTable`, so both engines
-    #: draw identical streams.
-    set_class: Callable[[int, object], CacheSet] = CacheSet
+    #: Set type, built as ``set_class(ways, policy)``.  Seeding lives in
+    #: :class:`SetTable`, so a subclass with another set type draws
+    #: identical streams.
+    set_class: Callable[[int, object], FastSet] = FastSet
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -166,14 +170,14 @@ class Cache:
         """Number of sets."""
         return self.layout.num_sets
 
-    def set_for(self, address: int) -> CacheSet:
+    def set_for(self, address: int) -> FastSet:
         """The set that ``address`` maps to."""
         set_index = self.set_index(address)
         return self._slots[set_index] or self._build_set(set_index)
 
     def set_index(self, address: int) -> int:
-        """Set index of ``address`` (hook point for randomized mapping)."""
-        return self.layout.set_index(address)
+        """Set index of ``address``."""
+        return (address >> self._offset_bits) & self._index_mask
 
     def tag_of(self, address: int) -> int:
         """Tag bits identifying a line within its set.
@@ -184,39 +188,46 @@ class Cache:
         tag, or two lines sharing the classic tag could alias within one
         permuted set.
         """
-        return self.layout.tag(address)
+        return address >> self._tag_shift
 
     def _address_of(self, tag: int, set_index: int) -> int:
-        return self.layout.compose(tag, set_index)
+        return (tag << self._tag_shift) | (set_index << self._offset_bits)
 
     # ------------------------------------------------------------------
-    # Structural operations (no latency here)
+    # Structural operations (no latency here).  Each splits the address
+    # inline; a subclass that remaps addresses overrides these entry
+    # points, not just ``set_index``/``tag_of``.
     # ------------------------------------------------------------------
     def probe(self, address: int) -> bool:
         """Whether ``address`` currently hits, without touching metadata."""
-        return self.set_for(address).find(self.tag_of(address)) is not None
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        return (address >> self._tag_shift) in cache_set._index
 
     def is_dirty(self, address: int) -> bool:
         """Whether ``address`` is resident and dirty."""
-        cache_set = self.set_for(address)
-        way = cache_set.find(self.tag_of(address))
-        return way is not None and cache_set.lines[way].dirty
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        way = cache_set._index.get(address >> self._tag_shift)
+        return way is not None and bool(cache_set.dirty_mask & (1 << way))
 
     def lookup(self, address: int, owner: Optional[int]) -> bool:
         """Demand access metadata update: True on hit (touches policy)."""
-        cache_set = self.set_for(address)
-        way = cache_set.find(self.tag_of(address))
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             return False
-        cache_set.touch(way)
+        cache_set.policy.on_hit(way)
         if owner is not None:
-            cache_set.set_owner(way, owner)
+            cache_set.owners[way] = owner
         return True
 
     def mark_dirty(self, address: int) -> None:
         """Set the dirty bit of a resident line (write hit, write-back)."""
-        cache_set = self.set_for(address)
-        way = cache_set.find(self.tag_of(address))
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        way = cache_set._index.get(address >> self._tag_shift)
         if way is None:
             raise ConfigurationError(
                 f"{self.name}: mark_dirty on non-resident {address:#x}"
@@ -236,10 +247,10 @@ class Cache:
         self, address: int, dirty: bool, owner: Optional[int]
     ) -> Optional[EvictedLine]:
         """Install the line of ``address``; returns the eviction, if any."""
-        set_index = self.set_index(address)
+        set_index = (address >> self._offset_bits) & self._index_mask
         cache_set = self._slots[set_index] or self._build_set(set_index)
         return cache_set.fill(
-            tag=self.tag_of(address),
+            tag=address >> self._tag_shift,
             dirty=dirty,
             owner=owner,
             set_index=set_index,
@@ -249,7 +260,9 @@ class Cache:
 
     def invalidate(self, address: int) -> Optional[EvictedLine]:
         """Drop the line of ``address`` (clflush); returns its final state."""
-        return self.set_for(address).invalidate(self.tag_of(address))
+        set_index = (address >> self._offset_bits) & self._index_mask
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        return cache_set.invalidate(address >> self._tag_shift)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,41 +1,64 @@
-"""A single cache set: ways, replacement-policy metadata, fill/evict logic.
+"""One set of a set-associative cache, in struct-of-arrays layout.
 
-Victim selection order (mirrors real write-allocate caches and supports the
-defense models):
+A :class:`FastSet` keeps parallel arrays instead of per-way line
+objects: a tag list, an owner list, and three bitmasks (valid/dirty/
+locked) packed into plain ints, plus a ``tag -> way`` dict index and
+incremental valid/dirty counters, so lookup and the per-period dirty
+polls are O(1).  Replacement metadata is the set's live
+:mod:`repro.replacement` policy.
+
+Victim selection order (mirrors real write-allocate caches and supports
+the defense models):
 
 1. any invalid way;
 2. otherwise the replacement policy's choice, skipping locked ways
    (PLcache) and ways outside the caller's allowed-way mask (partitioned
-   caches) by re-querying the policy after a forced touch of the forbidden
-   way — bounded, and falling back to a linear scan if the policy keeps
-   pointing at forbidden ways.
+   caches) by re-querying the policy after a forced touch of the
+   forbidden way — bounded, and falling back to the lowest evictable way
+   if the policy keeps pointing at forbidden ways.
 
-Lookup is O(1): a ``tag -> way`` dict index shadows the line array and is
-kept in sync by every state transition (fill, invalidate, full clear), so
-``find`` never scans.  ``dirty_count``/``valid_count`` are maintained
-incrementally for the same reason — experiments poll them every period.
-All line-state changes must therefore go through this class; mutating a
-:class:`~repro.cache.line.CacheLine` directly would desynchronise the
-index and the counters (``scan_counts`` exists so tests can verify they
-never drift).
+All line-state changes go through this class; mutating the arrays
+directly would desynchronise the index and the counters (``scan_counts``
+exists so tests can verify they never drift).  The object-per-line
+oracle under ``tests/oracle`` must agree with every public method —
+same return values, same exceptions, same policy calls in the same
+order — which ``tests/test_engine_parity.py`` checks access for access.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.cache.line import EvictedLine
+from repro.replacement.base import ReplacementPolicy
 
 #: Converts (tag, set_index) back into a line-aligned address so the
 #: hierarchy can route write-backs of evicted victims.
 AddressReconstructor = Callable[[int, int], int]
 
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.cache.line import CacheLine, EvictedLine
-from repro.replacement.base import ReplacementPolicy
+#: Normalised per-way state used for cross-core comparisons:
+#: (valid, tag, dirty, locked, owner), with tag/owner None when invalid.
+WayState = Tuple[bool, Optional[int], bool, bool, Optional[int]]
 
 
-class CacheSet:
-    """One set of a set-associative cache."""
+class FastSet:
+    """One set of a set-associative cache, struct-of-arrays layout."""
+
+    __slots__ = (
+        "ways",
+        "policy",
+        "tags",
+        "owners",
+        "valid_mask",
+        "dirty_mask",
+        "locked_mask",
+        "_full",
+        "_index",
+        "_valid_count",
+        "_dirty_count",
+    )
 
     def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
         if ways <= 0:
@@ -46,8 +69,12 @@ class CacheSet:
             )
         self.ways = ways
         self.policy = policy
-        self.lines: List[CacheLine] = [CacheLine() for _ in range(ways)]
-        #: O(1) lookup index over the valid lines.
+        self.tags: List[int] = [0] * ways
+        self.owners: List[Optional[int]] = [None] * ways
+        self.valid_mask = 0
+        self.dirty_mask = 0
+        self.locked_mask = 0
+        self._full = (1 << ways) - 1
         self._index: Dict[int, int] = {}
         self._valid_count = 0
         self._dirty_count = 0
@@ -66,53 +93,67 @@ class CacheSet:
     # ------------------------------------------------------------------
     # Fill / eviction
     # ------------------------------------------------------------------
-    def _invalid_way(self, allowed_ways: Optional[Sequence[int]]) -> Optional[int]:
-        if self._valid_count == self.ways:
-            return None
-        candidates = range(self.ways) if allowed_ways is None else allowed_ways
-        for way in candidates:
-            if not self.lines[way].valid:
-                return way
-        return None
+    def _dirty_hint(self) -> Tuple[bool, ...]:
+        # Dirty implies valid (eviction/invalidation clears the bit).
+        dirty = self.dirty_mask
+        return tuple(bool((dirty >> way) & 1) for way in range(self.ways))
 
     def choose_victim(self, allowed_ways: Optional[Sequence[int]] = None) -> int:
         """Pick the way a fill will (re)use, preferring invalid ways.
 
         ``allowed_ways`` restricts the choice (way-partitioning defenses).
-        Locked lines are never chosen.  Raises :class:`SimulationError` when
-        every permitted way is locked — the PLcache "excessive locking"
-        failure mode, surfaced loudly instead of silently mis-evicting.
+        Locked lines are never chosen.  Raises :class:`SimulationError`
+        when every permitted way is locked — the PLcache "excessive
+        locking" failure mode, surfaced loudly instead of silently
+        mis-evicting.
         """
-        invalid = self._invalid_way(allowed_ways)
-        if invalid is not None:
-            return invalid
+        valid = self.valid_mask
+        full = self._full
+        if allowed_ways is None:
+            if valid != full:
+                invalid = ~valid & full
+                return (invalid & -invalid).bit_length() - 1
+            evictable_mask = full & ~self.locked_mask
+            if not evictable_mask:
+                raise SimulationError(
+                    "no evictable way: all permitted ways are locked"
+                )
+            pol = self.policy
+            if pol.wants_dirty_hint:
+                pol.notify_dirty_ways(self._dirty_hint())
+            if evictable_mask == full:
+                # Hot path: nothing locked, first policy choice stands.
+                return pol.victim()
+            for _ in range(4 * self.ways):
+                way = pol.victim()
+                if (evictable_mask >> way) & 1:
+                    return way
+                pol.on_hit(way)
+            return (evictable_mask & -evictable_mask).bit_length() - 1
 
-        allowed = set(range(self.ways) if allowed_ways is None else allowed_ways)
+        # Restricted-way path (way-partitioning defenses); cold, so it
+        # keeps the plain set-based shape.
+        if valid != full:
+            for way in allowed_ways:
+                if not (valid >> way) & 1:
+                    return way
+        allowed = set(allowed_ways)
         if not allowed:
             raise ConfigurationError("allowed_ways must not be empty")
-        evictable = {way for way in allowed if not self.lines[way].locked}
+        locked = self.locked_mask
+        evictable = {way for way in allowed if not (locked >> way) & 1}
         if not evictable:
             raise SimulationError(
                 "no evictable way: all permitted ways are locked"
             )
-
-        # Dirty-state hint for policies that model write-back-averse victim
-        # selection (the E5-2650 surrogate).  Policies opt in through
-        # ``wants_dirty_hint`` so the common path skips the tuple build.
-        if self.policy.wants_dirty_hint:
-            self.policy.notify_dirty_ways(
-                tuple(line.valid and line.dirty for line in self.lines)
-            )
-        # Let the policy choose; nudge it off forbidden ways a bounded
-        # number of times (a locked/foreign way behaves as "most recently
-        # used" from the policy's viewpoint because it can never leave).
+        pol = self.policy
+        if pol.wants_dirty_hint:
+            pol.notify_dirty_ways(self._dirty_hint())
         for _ in range(4 * self.ways):
-            way = self.policy.victim()
+            way = pol.victim()
             if way in evictable:
                 return way
-            self.policy.on_hit(way)
-        # Policy refuses to cooperate (can happen with degenerate states);
-        # fall back to any evictable way deterministically.
+            pol.on_hit(way)
         return min(evictable)
 
     def fill(
@@ -124,38 +165,36 @@ class CacheSet:
         address_of: AddressReconstructor,
         allowed_ways: Optional[Sequence[int]] = None,
     ) -> Optional[EvictedLine]:
-        """Install ``tag`` into the set, returning the evicted line if any.
-
-        ``address_of`` converts (tag, set_index) back into a line address so
-        the hierarchy can route the write-back.
-        """
+        """Install ``tag`` into the set, returning the evicted line if any."""
         if tag in self._index:
             raise SimulationError(
                 f"fill of tag {tag:#x} that is already present in the set"
             )
         way = self.choose_victim(allowed_ways)
-        line = self.lines[way]
+        bit = 1 << way
         evicted: Optional[EvictedLine] = None
-        if line.valid:
+        if self.valid_mask & bit:
+            victim_dirty = bool(self.dirty_mask & bit)
             evicted = EvictedLine(
-                address=address_of(line.tag, set_index),
-                dirty=line.dirty,
-                owner=line.owner,
+                address=address_of(self.tags[way], set_index),
+                dirty=victim_dirty,
+                owner=self.owners[way],
             )
-            del self._index[line.tag]
+            del self._index[self.tags[way]]
             self._valid_count -= 1
-            if line.dirty:
+            if victim_dirty:
+                self.dirty_mask &= ~bit
                 self._dirty_count -= 1
             self.policy.on_invalidate(way)
-        line.tag = tag
-        line.valid = True
-        line.dirty = dirty
-        line.locked = False
-        line.owner = owner
+        self.tags[way] = tag
+        self.owners[way] = owner
+        self.valid_mask |= bit
+        self.locked_mask &= ~bit
+        if dirty:
+            self.dirty_mask |= bit
+            self._dirty_count += 1
         self._index[tag] = way
         self._valid_count += 1
-        if dirty:
-            self._dirty_count += 1
         self.policy.on_fill(way)
         return evicted
 
@@ -164,42 +203,53 @@ class CacheSet:
         way = self._index.get(tag)
         if way is None:
             return None
-        line = self.lines[way]
-        snapshot = EvictedLine(address=-1, dirty=line.dirty, owner=line.owner)
+        bit = 1 << way
+        was_dirty = bool(self.dirty_mask & bit)
+        snapshot = EvictedLine(address=-1, dirty=was_dirty, owner=self.owners[way])
         del self._index[tag]
         self._valid_count -= 1
-        if line.dirty:
+        if was_dirty:
+            self.dirty_mask &= ~bit
             self._dirty_count -= 1
-        line.invalidate()
+        self.valid_mask &= ~bit
+        self.locked_mask &= ~bit
+        self.owners[way] = None
         self.policy.on_invalidate(way)
         return snapshot
 
     def invalidate_all(self) -> None:
-        """Drop every line (cache-wide flush, e.g. a rekey).
-
-        Dirty data is discarded without a write-back; callers model flushes
-        whose write-back traffic is not observable (defense rekeys).
-        """
-        for way, line in enumerate(self.lines):
-            if line.valid:
-                line.invalidate()
+        """Drop every line (cache-wide flush, e.g. a defense rekey)."""
+        valid = self.valid_mask
+        way = 0
+        while valid:
+            if valid & 1:
+                self.owners[way] = None
                 self.policy.on_invalidate(way)
+            valid >>= 1
+            way += 1
+        self.valid_mask = 0
+        self.dirty_mask = 0
+        self.locked_mask = 0
         self._index.clear()
         self._valid_count = 0
         self._dirty_count = 0
 
+    def way_dirty(self, way: int) -> bool:
+        """Whether the line in ``way`` is valid and dirty."""
+        return bool((self.dirty_mask >> way) & 1)
+
     def mark_dirty(self, way: int) -> None:
         """Set the dirty bit of the (valid) line in ``way``."""
-        line = self.lines[way]
-        if not line.valid:
+        bit = 1 << way
+        if not self.valid_mask & bit:
             raise SimulationError(f"mark_dirty on invalid way {way}")
-        if not line.dirty:
-            line.dirty = True
+        if not self.dirty_mask & bit:
+            self.dirty_mask |= bit
             self._dirty_count += 1
 
     def set_owner(self, way: int, owner: Optional[int]) -> None:
         """Record the hardware thread that last touched ``way``."""
-        self.lines[way].owner = owner
+        self.owners[way] = owner
 
     # ------------------------------------------------------------------
     # Introspection used by experiments, defenses and tests
@@ -213,13 +263,9 @@ class CacheSet:
         return self._valid_count
 
     def scan_counts(self) -> Tuple[int, int]:
-        """(valid, dirty) recomputed by a fresh scan of the line array.
-
-        Exists so tests can assert the incremental counters never drift
-        from the ground truth; production code uses the O(1) counters.
-        """
-        valid = sum(1 for line in self.lines if line.valid)
-        dirty = sum(1 for line in self.lines if line.valid and line.dirty)
+        """(valid, dirty) recomputed from the bitmasks (invariant tests)."""
+        valid = bin(self.valid_mask).count("1")
+        dirty = bin(self.dirty_mask & self.valid_mask).count("1")
         return valid, dirty
 
     def index_snapshot(self) -> Dict[int, int]:
@@ -228,27 +274,38 @@ class CacheSet:
 
     def resident_tags(self) -> List[int]:
         """Tags of all valid lines (unordered semantics, way order)."""
-        return [line.tag for line in self.lines if line.valid]
+        valid = self.valid_mask
+        return [self.tags[way] for way in range(self.ways) if (valid >> way) & 1]
 
-    def way_states(self) -> Tuple[Tuple[bool, Optional[int], bool, bool, Optional[int]], ...]:
-        """Normalised per-way snapshot for cross-engine comparisons.
+    def way_states(self) -> Tuple[WayState, ...]:
+        """Normalised per-way snapshot for cross-core comparisons.
 
         Invalid ways report ``(False, None, False, False, None)`` so stale
-        tag values cannot create spurious differences between engines.
+        tag values cannot create spurious differences.
         """
-        return tuple(
-            (True, line.tag, line.dirty, line.locked, line.owner)
-            if line.valid
-            else (False, None, False, False, None)
-            for line in self.lines
-        )
+        states: List[WayState] = []
+        for way in range(self.ways):
+            bit = 1 << way
+            if self.valid_mask & bit:
+                states.append(
+                    (
+                        True,
+                        self.tags[way],
+                        bool(self.dirty_mask & bit),
+                        bool(self.locked_mask & bit),
+                        self.owners[way],
+                    )
+                )
+            else:
+                states.append((False, None, False, False, None))
+        return tuple(states)
 
     def lock(self, tag: int) -> bool:
         """Lock ``tag`` against eviction (PLcache); False if absent."""
         way = self._index.get(tag)
         if way is None:
             return False
-        self.lines[way].locked = True
+        self.locked_mask |= 1 << way
         return True
 
     def unlock(self, tag: int) -> bool:
@@ -256,15 +313,10 @@ class CacheSet:
         way = self._index.get(tag)
         if way is None:
             return False
-        self.lines[way].locked = False
+        self.locked_mask &= ~(1 << way)
         return True
 
     def randomize_policy_state(self, rng: Optional[random.Random] = None) -> None:
         """Scramble replacement metadata (Table 2 initial conditions)."""
-        del rng  # policies use their own generator
+        del rng  # the policy state uses its own generator
         self.policy.randomize_state()
-
-
-def iter_valid_lines(cache_set: CacheSet) -> Iterable[CacheLine]:
-    """Yield the valid lines of ``cache_set`` (test/diagnostic helper)."""
-    return (line for line in cache_set.lines if line.valid)

@@ -222,7 +222,6 @@ class HierarchyParams:
         self,
         *,
         rng: Optional[random.Random] = None,
-        engine: Optional[str] = None,
         latency: Optional[LatencyModel] = None,
     ) -> CacheHierarchy:
         """Construct the hierarchy these params describe.
@@ -244,15 +243,13 @@ class HierarchyParams:
                 levels=self.levels,
                 line_size=self.line_size,
                 rng=rng,
-                engine=engine,
                 latency=latency,
             )
-        cache_cls = _cache_class(engine)
         master = ensure_rng(rng)
         caches: List[Cache] = []
         for index, level in enumerate(self.levels):
             caches.append(
-                cache_cls(
+                Cache(
                     name=level.name,
                     size_bytes=level.size_bytes,
                     associativity=level.ways,
@@ -309,42 +306,24 @@ def _require_fields(cls, data: Dict[str, object], context: str) -> None:
         )
 
 
-def _cache_class(engine: Optional[str]):
-    """Resolve the Cache class for ``engine`` (None = process default).
-
-    Imported lazily so ``repro.cache`` does not depend on ``repro.engine``
-    at import time; the fast engine's class has the exact constructor
-    signature of :class:`Cache`.
-    """
-    from repro.engine.selection import cache_class
-
-    return cache_class(engine)
-
-
 def make_xeon_hierarchy(
     *,
     config: Optional[XeonE5_2650Config] = None,
     rng: Optional[random.Random] = None,
-    engine: Optional[str] = None,
     **overrides: object,
 ) -> CacheHierarchy:
     """Build the modelled Xeon E5-2650 hierarchy (keyword-only).
 
     ``overrides`` are applied on top of ``config`` (or the defaults), e.g.
     ``make_xeon_hierarchy(l1_policy="random")`` for the Section 6.1
-    experiments.  ``engine`` picks the cache core ("reference" or "fast",
-    see :mod:`repro.engine.selection`); ``None`` defers to the process-wide
-    selection, so profiles/CLI control it without threading the knob
-    through every call site.  Both engines consume identical RNG streams,
-    so results are bit-identical either way.
+    experiments.
     """
     if config is None:
         config = XeonE5_2650Config()
-    engine = overrides.pop("engine", engine)  # type: ignore[assignment]
     if overrides:
         config = dataclass_replace(config, **overrides)
     params = HierarchyParams.xeon(config)
-    return params.build(rng=rng, engine=engine, latency=config.latency)
+    return params.build(rng=rng, latency=config.latency)
 
 
 def make_tiny_hierarchy(
@@ -352,11 +331,10 @@ def make_tiny_hierarchy(
     l1_policy: str = "lru",
     rng: Optional[random.Random] = None,
     l1_write_policy: WritePolicy = WritePolicy.WRITE_BACK,
-    engine: Optional[str] = None,
 ) -> CacheHierarchy:
     """A 2-level, 4-set hierarchy small enough to exhaust in unit tests."""
     params = HierarchyParams.tiny(l1_policy, l1_write_policy)
-    return params.build(rng=rng, engine=engine)
+    return params.build(rng=rng)
 
 
 def dataclass_replace(config: XeonE5_2650Config, **overrides: object) -> XeonE5_2650Config:

@@ -1,39 +1,9 @@
-"""Cache line state.
-
-The paper's entire channel rests on one bit of this dataclass: ``dirty``.
-``locked`` and ``owner`` exist for the defense models (PLcache locks lines;
-partitioned caches and the statistics need to know which hardware thread
-installed a line).
-"""
+"""What a cache set reports about a line it evicted or invalidated."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-
-@dataclass
-class CacheLine:
-    """One way of one cache set."""
-
-    tag: int = 0
-    valid: bool = False
-    dirty: bool = False
-    locked: bool = False
-    #: Hardware-thread id that installed (or last wrote) the line; ``None``
-    #: for lines created by hierarchy-internal traffic such as write-backs.
-    owner: Optional[int] = None
-
-    def invalidate(self) -> None:
-        """Reset the line to the invalid state (drops dirty data)."""
-        self.valid = False
-        self.dirty = False
-        self.locked = False
-        self.owner = None
-
-    def matches(self, tag: int) -> bool:
-        """Whether this line is valid and holds ``tag``."""
-        return self.valid and self.tag == tag
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from repro.cache.latency import LatencyModel
 from repro.cache.line import EvictedLine
 from repro.cache.stats import CacheStats
 from repro.coherence.mesi import CoherenceStats, Directory, MESIState
+from repro.replacement.registry import make_policy_factory
 from repro.telemetry.bus import TelemetryBus
 from repro.telemetry.events import CacheEvent, EventKind
 from repro.telemetry.session import session_bus
@@ -599,7 +600,6 @@ def make_coherent_hierarchy(
     levels,
     line_size: int,
     rng: Optional[random.Random] = None,
-    engine: Optional[str] = None,
     latency: Optional[LatencyModel] = None,
 ) -> CoherentHierarchy:
     """Build a coherent hierarchy from :class:`LevelParams`-style levels.
@@ -610,8 +610,7 @@ def make_coherent_hierarchy(
     ``llc`` labels.  Called by
     :meth:`repro.cache.configs.HierarchyParams.build` when ``cores > 1``.
     """
-    from repro.cache.configs import _LEVEL_RNG_KEYS, _cache_class
-    from repro.replacement.registry import make_policy_factory
+    from repro.cache.configs import _LEVEL_RNG_KEYS
 
     if cores < 2:
         raise ConfigurationError(
@@ -621,11 +620,10 @@ def make_coherent_hierarchy(
         raise ConfigurationError(
             "a coherent hierarchy needs a shared level below the L1s"
         )
-    cache_cls = _cache_class(engine)
     master = ensure_rng(rng)
     l1_level = levels[0]
     l1s = [
-        cache_cls(
+        Cache(
             name=f"{l1_level.name}-c{core}",
             size_bytes=l1_level.size_bytes,
             associativity=l1_level.ways,
@@ -638,7 +636,7 @@ def make_coherent_hierarchy(
         for core in range(cores)
     ]
     shared = [
-        cache_cls(
+        Cache(
             name=level.name,
             size_bytes=level.size_bytes,
             associativity=level.ways,

@@ -24,6 +24,7 @@ from repro.common.rng import derive_rng, ensure_rng
 from repro.cache.cache import Cache
 from repro.cache.configs import XeonE5_2650Config
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.line import EvictedLine
 from repro.replacement.registry import make_policy_factory
 
 
@@ -102,6 +103,54 @@ class RandomizedMappingCache(Cache):
             self.key = self._rekey_rng.randrange(1, 1 << 16)
             self._accesses_since_rekey = 0
             self.rekey_count += 1
+
+    # The base entry points split addresses inline, so each one is routed
+    # through the keyed ``set_index`` and the full-width ``tag_of`` here.
+    # ``set_index`` runs exactly once per operation: it counts accesses
+    # toward re-keying.
+    def probe(self, address: int) -> bool:
+        return self.set_for(address).find(self.tag_of(address)) is not None
+
+    def is_dirty(self, address: int) -> bool:
+        cache_set = self.set_for(address)
+        way = cache_set.find(self.tag_of(address))
+        return way is not None and cache_set.way_dirty(way)
+
+    def lookup(self, address: int, owner: Optional[int]) -> bool:
+        cache_set = self.set_for(address)
+        way = cache_set.find(self.tag_of(address))
+        if way is None:
+            return False
+        cache_set.touch(way)
+        if owner is not None:
+            cache_set.set_owner(way, owner)
+        return True
+
+    def mark_dirty(self, address: int) -> None:
+        cache_set = self.set_for(address)
+        way = cache_set.find(self.tag_of(address))
+        if way is None:
+            raise ConfigurationError(
+                f"{self.name}: mark_dirty on non-resident {address:#x}"
+            )
+        cache_set.mark_dirty(way)
+
+    def fill(
+        self, address: int, dirty: bool, owner: Optional[int]
+    ) -> Optional[EvictedLine]:
+        set_index = self.set_index(address)
+        cache_set = self._slots[set_index] or self._build_set(set_index)
+        return cache_set.fill(
+            tag=self.tag_of(address),
+            dirty=dirty,
+            owner=owner,
+            set_index=set_index,
+            address_of=self._address_of,
+            allowed_ways=self.allowed_ways(owner),
+        )
+
+    def invalidate(self, address: int) -> Optional[EvictedLine]:
+        return self.set_for(address).invalidate(self.tag_of(address))
 
 
 def find_eviction_set(

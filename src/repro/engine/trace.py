@@ -1,12 +1,12 @@
-"""Batched trace replay — the fast engine's bulk entry point.
+"""Batched trace replay.
 
 Experiments and benchmarks that do not need the SMT co-simulation (no
 timing interleave between threads, just a fixed access sequence) can hand
 a whole trace to :func:`run_trace` instead of calling
 ``hierarchy.access`` per element from Python.
 
-On a hierarchy built entirely from :class:`~repro.engine.fast_cache
-.FastCache` levels with the paper's write-back / write-allocate policies,
+On a hierarchy built entirely from plain :class:`~repro.cache.cache.Cache`
+levels with the paper's write-back / write-allocate policies,
 :func:`run_trace` switches to a specialised inner loop that inlines the
 level walk, the fill path and the statistics updates into one frame —
 no per-access :class:`~repro.cache.hierarchy.AccessTrace` objects, no
@@ -15,11 +15,11 @@ method dispatch per level.  The loop is a line-for-line transcription of
 counter updates, in the same order), so its observables are bit-identical
 to the generic path; ``tests/test_engine_parity.py`` holds it to that.
 
-Any other configuration — reference engine, write-through levels,
-defense cache subclasses — replays through the generic per-access loop.
-Both paths accept the same traces, which is what the differential parity
-harness exploits: one trace, two engines, event streams compared
-element-wise.
+Any other configuration — write-through levels, defense cache
+subclasses, the test oracle's cache — replays through the generic
+per-access loop.  Both paths accept the same traces, which is what the
+differential parity harness exploits: one trace, two cores, event
+streams compared element-wise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.cache import AllocationPolicy, WritePolicy
+from repro.cache.cache import AllocationPolicy, Cache, WritePolicy
 from repro.cache.hierarchy import MEMORY_LEVEL, CacheHierarchy
 from repro.cache.stats import ALL_OWNERS
 
@@ -80,7 +80,7 @@ class TraceResult:
 def _soa_eligible(hierarchy: CacheHierarchy) -> bool:
     """Whether the specialised struct-of-arrays loop applies.
 
-    Exact FastCache levels only (defense subclasses carry extra hooks the
+    Exact :class:`Cache` levels only (subclasses carry extra hooks the
     inline loop would bypass) with the write-back + write-allocate pairing
     the inline store path assumes — and telemetry off: with an enabled
     bus the replay routes through the generic per-access path, which
@@ -88,12 +88,10 @@ def _soa_eligible(hierarchy: CacheHierarchy) -> bool:
     pay-for-what-you-use: the SoA loop never checks a bus per access,
     and ``scripts/bench_engine.py`` gates the telemetry-off speedup.
     """
-    from repro.engine.fast_cache import FastCache
-
     if hierarchy.telemetry_enabled:
         return False
     return all(
-        type(level) is FastCache
+        type(level) is Cache
         and level.write_policy is WritePolicy.WRITE_BACK
         and level.allocation_policy is AllocationPolicy.WRITE_ALLOCATE
         for level in hierarchy.levels
@@ -105,7 +103,7 @@ def _run_trace_soa(
     accesses: Iterable[Access],
     owner: Optional[int],
 ) -> TraceResult:
-    """Specialised replay over all-FastCache levels.
+    """Specialised replay over all-:class:`Cache` levels.
 
     Transcribes ``CacheHierarchy.access`` (walk, fill path, store hit,
     jitter, statistics) with every per-level quantity pre-bound.  Counter
@@ -164,7 +162,7 @@ def _run_trace_soa(
         if counters is None:
             counters = l1[5] = tuple(stats._counters[1][key] for key in keys)
         if way is not None:
-            cache_set.pol.on_hit(way)
+            cache_set.policy.on_hit(way)
             if owner is not None:
                 cache_set.owners[way] = owner
             for counter in counters:
@@ -203,7 +201,7 @@ def _run_trace_soa(
                 if write:
                     counter.stores += 1
             if hit:
-                deep_set.pol.on_hit(deep_way)
+                deep_set.policy.on_hit(deep_way)
                 if owner is not None:
                     deep_set.owners[deep_way] = owner
                 hit_level = index + 1
@@ -258,7 +256,7 @@ def run_trace(
     ``accesses`` is any iterable of ``(address, is_write)`` pairs;
     ``owner`` is attributed to every access (the batched path models a
     single-threaded replay — interleaved multi-thread runs belong to the
-    SMT co-simulation).  All-FastCache hierarchies take the specialised
+    SMT co-simulation).  All-:class:`Cache` hierarchies take the specialised
     struct-of-arrays loop; everything else replays through the public
     per-access API.  Results are bit-identical either way.
     """
@@ -299,7 +297,7 @@ def event_stream(
 
     Each element is ``(hit_level, latency, l1_victim_dirty, evictions)``
     with evictions as ``(level, victim_address, victim_dirty)`` tuples —
-    everything two engines must agree on, access by access.  Always uses
+    everything two cores must agree on, access by access.  Always uses
     the generic per-access path: this is the oracle view the specialised
     loop is checked against.
     """

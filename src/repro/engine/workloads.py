@@ -15,7 +15,7 @@ Two generators:
   source.
 
 Generators yield plain ``(address, is_write)`` pairs, so they feed
-:func:`repro.engine.trace.run_trace` on either engine unchanged.
+:func:`repro.engine.trace.run_trace` and the test oracle unchanged.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from typing import List, Optional
 
 from repro.analysis.run_summary import summarize_manifest
 from repro.channels.taxonomy import render_table
-from repro.engine.selection import available_engines
 from repro.experiments.profiles import available_profiles, resolve_profile
 from repro.experiments.registry import available_experiments
 from repro.runner import ProgressPrinter, RunInterrupted, run_experiments
@@ -56,15 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_profiles(),
         default=None,
         help="repetition-count profile: quick (CI-speed) or full (paper-scale)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=available_engines(),
-        default=None,
-        help=(
-            "simulation engine: reference (object-per-line oracle) or fast "
-            "(struct-of-arrays core); results are bit-identical"
-        ),
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
@@ -147,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile = args.profile
     if profile is None:
         profile = "full"
-    profile = resolve_profile(profile).with_engine(args.engine)
+    profile = resolve_profile(profile)
     if args.telemetry or args.trace_out is not None:
         profile = profile.with_telemetry(True)
     if args.jobs < 1:

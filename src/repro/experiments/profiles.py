@@ -41,11 +41,6 @@ class RunProfile:
     reduced: bool = False
     #: Multiplier applied to every resolved repetition count (min 1).
     scale: float = 1.0
-    #: Simulation engine ("reference" or "fast", see
-    #: :mod:`repro.engine.selection`); ``None`` keeps the process default.
-    #: Results are bit-identical across engines — this knob trades nothing
-    #: but wall-clock time.
-    engine: Optional[str] = None
     #: Stream cache events through a telemetry session around the run
     #: (see :mod:`repro.telemetry.session`).  Simulated observables are
     #: bit-identical with or without it; it adds wall-clock cost and a
@@ -59,10 +54,6 @@ class RunProfile:
             raise ConfigurationError(
                 f"profile scale must be positive, got {self.scale}"
             )
-        if self.engine is not None:
-            from repro.engine.selection import resolve_engine
-
-            resolve_engine(self.engine)
 
     @property
     def is_reduced(self) -> bool:
@@ -73,14 +64,6 @@ class RunProfile:
         """Resolve a repetition count: the quick or full budget, scaled."""
         base = quick if self.reduced else full
         return max(1, round(base * self.scale))
-
-    def with_engine(self, engine: Optional[str]) -> "RunProfile":
-        """Copy of this profile pinned to ``engine`` (None = unchanged)."""
-        if engine is None:
-            return self
-        import dataclasses
-
-        return dataclasses.replace(self, engine=engine)
 
     def with_telemetry(self, telemetry: bool = True) -> "RunProfile":
         """Copy of this profile with telemetry streaming on (or off)."""
@@ -96,7 +79,6 @@ class RunProfile:
             "name": self.name,
             "reduced": self.reduced,
             "scale": self.scale,
-            "engine": self.engine,
             "telemetry": self.telemetry,
         }
 
@@ -105,14 +87,14 @@ class RunProfile:
         """Inverse of :meth:`to_dict`.
 
         Manifests written before a knob existed load with its default
-        (``engine=None``, ``telemetry=False``).
+        (``telemetry=False``).  Manifests that still carry the retired
+        ``engine`` field (there used to be two cache cores; results never
+        depended on the choice) load with that field ignored.
         """
-        engine = data.get("engine")
         return cls(
             name=str(data["name"]),
             reduced=bool(data["reduced"]),
             scale=float(data.get("scale", 1.0)),
-            engine=None if engine is None else str(engine),
             telemetry=bool(data.get("telemetry", False)),
         )
 

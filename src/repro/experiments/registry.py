@@ -86,19 +86,14 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; available: "
             f"{', '.join(available_experiments())}"
         )
-    # The profile's engine choice is applied process-wide around the run,
-    # so every hierarchy the experiment builds — directly or through the
-    # channel testbench — picks it up without plumbing.  Results are
-    # bit-identical across engines.  The telemetry session works the same
-    # way: every hierarchy constructed inside the block attaches to the
-    # session bus, and the observed summary rides back in the params
-    # (hence into run manifests).
-    from repro.engine.selection import engine_context
+    # Every hierarchy constructed inside the telemetry session block —
+    # directly or through the channel testbench — attaches to the session
+    # bus, and the observed summary rides back in the params (hence into
+    # run manifests).
     from repro.telemetry.session import telemetry_session
 
-    with engine_context(resolved.engine):
-        with telemetry_session(enabled=resolved.telemetry) as session:
-            result = runner(profile=resolved, seed=seed)
+    with telemetry_session(enabled=resolved.telemetry) as session:
+        result = runner(profile=resolved, seed=seed)
     if session is not None:
         summary = session.summary()
         trace_dir = session.config.trace_out

@@ -25,7 +25,7 @@ import random
 from typing import Dict, List
 
 from repro.common.rng import derive_rng, ensure_rng
-from repro.cache.cache_set import CacheSet
+from repro.cache.cache_set import FastSet
 from repro.experiments.base import ExperimentResult
 from repro.experiments.profiles import ProfileLike, resolve_profile
 from repro.replacement.registry import make_policy_factory
@@ -54,7 +54,7 @@ def eviction_probability(
     evicted = 0
     for trial in range(trials):
         policy = factory(ways, derive_rng(rng, f"{policy_name}/{trial}"))
-        cache_set = CacheSet(ways, policy)
+        cache_set = FastSet(ways, policy)
         address_of = lambda tag, set_index: tag  # noqa: E731 - trivial reconstructor
         # Pre-fill with unrelated resident lines (tags 1000+).
         for prior in range(ways):

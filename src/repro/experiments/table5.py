@@ -25,7 +25,7 @@ from typing import List
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng, ensure_rng
-from repro.cache.cache_set import CacheSet
+from repro.cache.cache_set import FastSet
 from repro.experiments.base import ExperimentResult
 from repro.experiments.profiles import ProfileLike, resolve_profile
 from repro.replacement.registry import make_policy_factory
@@ -61,7 +61,7 @@ def simulated_probability(
     hits = 0
     for trial in range(trials):
         policy = factory(ways, derive_rng(rng, f"{policy_name}/{trial}"))
-        cache_set = CacheSet(ways, policy)
+        cache_set = FastSet(ways, policy)
         # Fill with unrelated lines, then install the dirty lines.
         for prior in range(ways):
             cache_set.fill(1000 + prior, dirty=False, owner=None,

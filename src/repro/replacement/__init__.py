@@ -8,15 +8,19 @@ and tested independently of the cache that hosts them.
 """
 
 from repro.replacement.base import ReplacementPolicy, PolicyFactory
-from repro.replacement.true_lru import TrueLRU
-from repro.replacement.fifo import FIFO
-from repro.replacement.tree_plru import TreePLRU
-from repro.replacement.noisy_plru import NoisyTreePLRU
-from repro.replacement.dirty_protect import DirtyProtectingLRU, DirtyProtectingPLRU
-from repro.replacement.bit_plru import BitPLRU
-from repro.replacement.nru import NRU
-from repro.replacement.srrip import SRRIP
-from repro.replacement.random_policy import LFSRPseudoRandom, UniformRandom
+from repro.replacement.policies import (
+    FIFO,
+    NRU,
+    SRRIP,
+    BitPLRU,
+    DirtyProtectingLRU,
+    DirtyProtectingPLRU,
+    LFSRPseudoRandom,
+    NoisyTreePLRU,
+    TreePLRU,
+    TrueLRU,
+    UniformRandom,
+)
 from repro.replacement.registry import available_policies, make_policy_factory
 
 __all__ = [

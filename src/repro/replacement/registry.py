@@ -12,23 +12,26 @@ from typing import Dict, List
 
 from repro.common.errors import ConfigurationError
 from repro.replacement.base import PolicyFactory, ReplacementPolicy
-from repro.replacement.bit_plru import BitPLRU
-from repro.replacement.fifo import FIFO
-from repro.replacement.dirty_protect import DirtyProtectingPLRU
-from repro.replacement.noisy_plru import NoisyTreePLRU
-from repro.replacement.nru import NRU
-from repro.replacement.random_policy import LFSRPseudoRandom, UniformRandom
-from repro.replacement.srrip import SRRIP
-from repro.replacement.tree_plru import TreePLRU
-from repro.replacement.true_lru import TrueLRU
+from repro.replacement.policies import (
+    FIFO,
+    NRU,
+    SRRIP,
+    BitPLRU,
+    DirtyProtectingLRU,
+    LFSRPseudoRandom,
+    NoisyTreePLRU,
+    TreePLRU,
+    TrueLRU,
+    UniformRandom,
+)
 
 _REGISTRY: Dict[str, type] = {
     "lru": TrueLRU,
     "fifo": FIFO,
     "tree-plru": TreePLRU,
     "noisy-plru": NoisyTreePLRU,
-    "dirty-protect-plru": DirtyProtectingPLRU,
-    "e5-2650": DirtyProtectingPLRU,  # behavioural surrogate, see DESIGN.md
+    "dirty-protect-plru": DirtyProtectingLRU,
+    "e5-2650": DirtyProtectingLRU,  # behavioural surrogate, see DESIGN.md
     "bit-plru": BitPLRU,
     "nru": NRU,
     "srrip": SRRIP,

@@ -1,7 +1,7 @@
 """Run any scenario spec to a generic :class:`ExperimentResult`.
 
 :func:`run_scenario` is the service-facing entry point: it compiles the
-spec, executes it under the profile's engine/telemetry context (the same
+spec, executes it under the profile's telemetry context (the same
 wrapping :func:`repro.experiments.run_experiment` applies) and shapes the
 measurement into a kind-generic result table whose ``experiment_id`` is
 ``scenario:<name>``.  The registered experiments keep their own bespoke
@@ -308,18 +308,16 @@ def run_scenario(
 ) -> ExperimentResult:
     """Compile, execute and shape one scenario spec.
 
-    The run happens inside the profile's engine/telemetry context,
-    mirroring :func:`repro.experiments.run_experiment`, so scenario jobs
-    behave identically to registered experiments under the service.
+    The run happens inside the profile's telemetry context, mirroring
+    :func:`repro.experiments.run_experiment`, so scenario jobs behave
+    identically to registered experiments under the service.
     """
-    from repro.engine.selection import engine_context
     from repro.telemetry.session import telemetry_session
 
     resolved = resolve_profile(profile)
     compiled = compile_scenario(spec, resolved, seed)
-    with engine_context(resolved.engine):
-        with telemetry_session(enabled=resolved.telemetry) as session:
-            measurement = compiled.measure()
+    with telemetry_session(enabled=resolved.telemetry) as session:
+        measurement = compiled.measure()
     shaped = _SHAPERS[spec.kind](spec, measurement, seed)
     params: Dict[str, object] = dict(shaped["params"])
     params["scenario"] = {

@@ -43,7 +43,8 @@ from repro.experiments.profiles import ProfileLike, resolve_profile
 
 #: Bump on any change to the key-material layout below.
 #: v2: added the ``scenario`` field (declarative scenario jobs).
-KEY_SCHEMA_VERSION = 2
+#: v3: the profile no longer carries ``engine`` (one cache core remains).
+KEY_SCHEMA_VERSION = 3
 
 #: WBChannelConfig fields that are declarative data (canonicalisable).
 _WB_PLAIN_FIELDS = (

@@ -1,9 +1,8 @@
-"""Process-global telemetry session, mirroring engine selection.
+"""Process-global telemetry session.
 
 The cache hierarchy cannot be handed a bus explicitly everywhere it is
 constructed (testbenches, experiment factories, worker processes build
-hierarchies deep inside library code), so — exactly like the engine
-switch in :mod:`repro.engine.selection` — the active telemetry session
+hierarchies deep inside library code), so the active telemetry session
 is process-global state consulted by
 :class:`~repro.cache.hierarchy.CacheHierarchy` at construction time.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class BitPLRU(ReplacementPolicy):

@@ -27,7 +27,7 @@ import random
 from typing import List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.replacement.true_lru import TrueLRU
+from tests.oracle.replacement.true_lru import TrueLRU
 
 
 class DirtyProtectingLRU(TrueLRU):
@@ -90,7 +90,7 @@ class DirtyProtectingLRU(TrueLRU):
         return super().victim()
 
     def protections_used(self) -> List[int]:
-        """Per-way diversion counts (exposed for the fast engine/tests)."""
+        """Per-way diversion counts (exposed for tests)."""
         return list(self._protections_used)
 
     @property

@@ -11,7 +11,7 @@ import random
 from collections import deque
 from typing import Deque
 
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class FIFO(ReplacementPolicy):
@@ -46,5 +46,5 @@ class FIFO(ReplacementPolicy):
         self._queue = deque(order)
 
     def queue_order(self) -> list:
-        """Eviction order, next victim first (exposed for the fast engine)."""
+        """Eviction order, next victim first (exposed for tests)."""
         return list(self._queue)

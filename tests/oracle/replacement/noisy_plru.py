@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 
 from repro.common.errors import ConfigurationError
-from repro.replacement.tree_plru import TreePLRU
+from tests.oracle.replacement.tree_plru import TreePLRU
 
 
 class NoisyTreePLRU(TreePLRU):

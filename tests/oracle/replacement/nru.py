@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class NRU(ReplacementPolicy):
@@ -57,7 +57,7 @@ class NRU(ReplacementPolicy):
         self._scan_start = self.rng.randrange(self.ways)
 
     def referenced_bits(self) -> List[bool]:
-        """Copy of the reference bits (exposed for the fast engine/tests)."""
+        """Copy of the reference bits (exposed for tests)."""
         return list(self._referenced)
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 
 from repro.common.errors import ConfigurationError
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class UniformRandom(ReplacementPolicy):
@@ -81,5 +81,5 @@ class LFSRPseudoRandom(ReplacementPolicy):
 
     @property
     def lfsr_state(self) -> int:
-        """Current shift-register contents (exposed for the fast engine)."""
+        """Current shift-register contents (exposed for tests)."""
         return self._state

@@ -18,7 +18,7 @@ import random
 from typing import List
 
 from repro.common.errors import ConfigurationError
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class TreePLRU(ReplacementPolicy):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.replacement.base import ReplacementPolicy
+from tests.oracle.replacement.base import ReplacementPolicy
 
 
 class TrueLRU(ReplacementPolicy):

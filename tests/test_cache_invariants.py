@@ -52,7 +52,7 @@ class TestStructuralInvariants:
         hierarchy, _, _ = run_ops(ops, seed)
         for level in hierarchy.levels:
             for set_index, cache_set in enumerate(level.sets):
-                tags = [line.tag for line in cache_set.lines if line.valid]
+                tags = cache_set.resident_tags()
                 assert len(tags) == len(set(tags)), (
                     f"{level.name} set {set_index} holds a tag twice"
                 )
@@ -63,10 +63,8 @@ class TestStructuralInvariants:
         hierarchy, _, _ = run_ops(ops, seed)
         for level in hierarchy.levels:
             for set_index, cache_set in enumerate(level.sets):
-                for line in cache_set.lines:
-                    if not line.valid:
-                        continue
-                    address = level._address_of(line.tag, set_index)
+                for tag in cache_set.resident_tags():
+                    address = level._address_of(tag, set_index)
                     assert level.set_index(address) == set_index
 
     @given(ops=operations, seed=st.integers(min_value=0, max_value=999))

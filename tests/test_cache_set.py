@@ -1,12 +1,17 @@
-"""CacheSet: fills, evictions, locking, dirty accounting."""
+"""The oracle CacheSet: fills, evictions, locking, dirty accounting.
+
+The production :class:`~repro.cache.cache_set.FastSet` is held to the
+same behaviour by ``test_engine_fast.py`` and, access for access, by
+``test_engine_parity.py``.
+"""
 
 import random
 
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.cache.cache_set import CacheSet, iter_valid_lines
-from repro.replacement import TrueLRU
+from tests.oracle.cache_set import CacheSet, iter_valid_lines
+from tests.oracle.replacement.true_lru import TrueLRU
 
 
 def make_set(ways=4, seed=0):
@@ -205,7 +210,7 @@ class TestDirtyHintGating:
         assert sum(calls[0]) == 2
 
     def test_dirty_protecting_policy_opts_in(self):
-        from repro.replacement.dirty_protect import DirtyProtectingLRU
+        from tests.oracle.replacement.dirty_protect import DirtyProtectingLRU
 
         assert DirtyProtectingLRU.wants_dirty_hint
         assert not TrueLRU.wants_dirty_hint

@@ -4,9 +4,10 @@ The ``closed_loop_defense`` scenario closes the paper's Section 7
 stealth asymmetry into a live detect→fuse→respond loop.  These tests pin
 the quick/seed-0 outcome to the digit — alarm times, the flip frame's
 stream event id, the boundary symbol, pre/post-flip capacities — and
-then assert the whole measurement is bit-identical across the reference
-and fast engines *and* across stream clients attaching, dropping and
-resuming mid-run (observers must never perturb the result).
+then assert the whole measurement is bit-identical between the production
+cache core and the object-per-line oracle *and* across stream clients
+attaching, dropping and resuming mid-run (observers must never perturb
+the result).
 """
 
 import dataclasses
@@ -14,7 +15,6 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.engine import engine_context
 from repro.experiments.profiles import RunProfile
 from repro.scenario.closed_loop import (
     ModulatingDirtySender,
@@ -23,6 +23,7 @@ from repro.scenario.closed_loop import (
     measure_closed_loop,
 )
 from repro.scenario.library import closed_loop_defense_spec
+from tests.oracle import oracle_core
 
 SEED = 0
 
@@ -38,7 +39,7 @@ def _measure(stream_hook=None):
 
 @pytest.fixture(scope="module")
 def measurement():
-    """One reference-engine quick/seed-0 run, shared by the pin tests."""
+    """One quick/seed-0 run, shared by the pin tests."""
     return _measure()
 
 
@@ -105,12 +106,12 @@ class TestCrossEngineDeterminism:
     def test_fast_engine_reproduces_the_reference_bit_for_bit(
         self, measurement
     ):
-        with engine_context("fast"):
-            fast = _measure()
-        assert fast.thresholds == measurement.thresholds
-        assert fast.outcomes == measurement.outcomes
-        assert fast.series == measurement.series
-        assert fast.asymmetry_holds is measurement.asymmetry_holds
+        with oracle_core():
+            oracle = _measure()
+        assert oracle.thresholds == measurement.thresholds
+        assert oracle.outcomes == measurement.outcomes
+        assert oracle.series == measurement.series
+        assert oracle.asymmetry_holds is measurement.asymmetry_holds
 
 
 class _ReconnectingObserver:

@@ -8,10 +8,10 @@ Three layers of assurance:
 * a seeded property fuzz drives random multi-core access streams and
   re-checks the MESI invariants (single M/E holder, dirty implies M,
   L2 inclusion) after **every** step, over 2- and 4-core topologies on
-  both engines;
+  the production core (``fast``) and the test oracle (``reference``);
 * a differential parity section extends the ``test_engine_parity``
-  contract to coherent hierarchies: the fast engine must reproduce the
-  reference engine access for access.
+  contract to coherent hierarchies: the production core must reproduce
+  the object-per-line oracle access for access.
 """
 
 import random
@@ -28,20 +28,21 @@ from repro.coherence import (
     make_coherent_hierarchy,
 )
 from repro.common.errors import ConfigurationError, SimulationError
+from tests.oracle import core
 
 SEED = 4321
 LINE = 64
 
 
-def tiny_coherent(cores=2, engine="reference", seed=SEED):
+def tiny_coherent(cores=2, engine="fast", seed=SEED):
     params = dataclasses.replace(HierarchyParams.tiny(), cores=cores)
-    return params.build(rng=random.Random(seed), engine=engine)
+    with core(engine):
+        return params.build(rng=random.Random(seed))
 
 
-def xeon_coherent(cores=2, engine="reference", seed=SEED):
-    return HierarchyParams.xeon(cores=cores).build(
-        rng=random.Random(seed), engine=engine
-    )
+def xeon_coherent(cores=2, engine="fast", seed=SEED):
+    with core(engine):
+        return HierarchyParams.xeon(cores=cores).build(rng=random.Random(seed))
 
 
 class TestDirectory:
@@ -292,7 +293,7 @@ class TestMESIInvariantFuzz:
 
 
 class TestCoherentEngineParity:
-    """The fast engine must replicate the reference engine under MESI."""
+    """The production core must replicate the oracle under MESI."""
 
     @pytest.mark.parametrize("cores", [2, 4])
     def test_random_stream_parity(self, cores):

@@ -30,7 +30,8 @@ class TestPLCache:
         l1 = hierarchy.l1
         cache_set = l1.set_for(0x1000)
         way = cache_set.find(l1.layout.tag(0x1000))
-        assert cache_set.lines[way].locked
+        valid, _, _, locked, _ = cache_set.way_states()[way]
+        assert valid and locked
 
     def test_unprotected_fills_not_locked(self):
         hierarchy = make_plcache_hierarchy(protected_owners=(0,), rng=random.Random(0))
@@ -38,7 +39,8 @@ class TestPLCache:
         l1 = hierarchy.l1
         cache_set = l1.set_for(0x1000)
         way = cache_set.find(l1.layout.tag(0x1000))
-        assert not cache_set.lines[way].locked
+        valid, _, _, locked, _ = cache_set.way_states()[way]
+        assert valid and not locked
 
     def test_receiver_cannot_evict_locked_dirty_line(self):
         hierarchy = make_plcache_hierarchy(protected_owners=(0,), rng=random.Random(0))

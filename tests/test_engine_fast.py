@@ -1,8 +1,8 @@
-"""Unit tests of the fast engine's pieces.
+"""Unit tests of the cache core's pieces.
 
-Parity with the reference engine is covered by ``test_engine_parity.py``;
-these tests pin down the fast structures in isolation: FastSet semantics,
-the engine selection switch, the fast policy-state registry, and the
+Parity with the object-per-line oracle is covered by
+``test_engine_parity.py``; these tests pin down the struct-of-arrays
+structures in isolation: FastSet semantics, the policy registry, and the
 workload generators.
 """
 
@@ -11,18 +11,7 @@ import random
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.engine import (
-    FastCache,
-    FastSet,
-    available_engines,
-    cache_class,
-    current_engine,
-    engine_context,
-    fig6_workload,
-    random_workload,
-    resolve_engine,
-    set_engine,
-)
+from repro.engine import FastSet, fig6_workload, random_workload
 from repro.cache.cache import Cache
 from repro.replacement import TrueLRU
 
@@ -167,66 +156,17 @@ class TestFastSet:
             FastSet(0, TrueLRU(1, random.Random(0)))
 
 
-class TestSelection:
-    def test_available_engines(self):
-        assert available_engines() == ["reference", "fast"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("warp")
-
-    def test_cache_class_mapping(self):
-        assert cache_class("reference") is Cache
-        assert cache_class("fast") is FastCache
-
-    def test_engine_context_restores_previous(self):
-        before = current_engine()
-        with engine_context("fast"):
-            assert current_engine() == "fast"
-            assert cache_class() is FastCache
-        assert current_engine() == before
-
-    def test_engine_context_none_is_noop(self):
-        before = current_engine()
-        with engine_context(None):
-            assert current_engine() == before
-
-    def test_set_engine_returns_previous(self):
-        previous = set_engine("fast")
-        try:
-            assert current_engine() == "fast"
-        finally:
-            set_engine(previous)
-
-
 class TestFastStateRegistry:
     def test_every_registered_policy_has_a_fast_path(self):
-        from repro.replacement.fast_state import has_fast_state
+        from repro.replacement import ReplacementPolicy, policies
         from repro.replacement.registry import _REGISTRY
 
         for name, policy_cls in _REGISTRY.items():
-            assert has_fast_state(policy_cls), (
-                f"policy {name!r} ({policy_cls.__name__}) would silently "
-                "fall back to the adapter"
-            )
-
-    def test_unregistered_subclass_falls_back_to_adapter(self):
-        from repro.replacement.fast_state import AdapterState, fast_state_for
-
-        class CustomLRU(TrueLRU):
-            pass
-
-        state = fast_state_for(CustomLRU(4, random.Random(0)))
-        assert isinstance(state, AdapterState)
-
-    def test_adapter_forwards_dirty_hint_opt_in(self):
-        from repro.replacement.fast_state import AdapterState
-
-        class HintedLRU(TrueLRU):
-            wants_dirty_hint = True
-
-        state = AdapterState(HintedLRU(4, random.Random(0)))
-        assert state.wants_dirty_hint
+            policy = policy_cls(8, random.Random(0))
+            assert isinstance(policy, ReplacementPolicy), name
+            assert type(policy).__module__ == policies.__name__, name
+            # Integer/list state only: no per-instance __dict__.
+            assert not hasattr(policy, "__dict__"), name
 
 
 class TestWorkloads:
@@ -265,26 +205,9 @@ class TestFastCacheStructure:
     def test_hierarchy_builds_fast_sets(self):
         from repro.cache.configs import make_xeon_hierarchy
 
-        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine="fast")
+        hierarchy = make_xeon_hierarchy(rng=random.Random(0))
         for level in hierarchy.levels:
-            assert type(level) is FastCache
+            assert type(level) is Cache
             assert all(type(s) is FastSet for s in level.sets)
         # Policy type introspection still works (test_cache_configs idiom).
         assert type(hierarchy.l1.sets[0].policy).__name__ == "TreePLRU"
-
-    def test_reference_remains_default(self):
-        from repro.cache.configs import make_xeon_hierarchy
-
-        hierarchy = make_xeon_hierarchy(rng=random.Random(0))
-        assert type(hierarchy.l1) is Cache
-
-    def test_profile_engine_validation(self):
-        from repro.experiments.profiles import RunProfile
-
-        with pytest.raises(ConfigurationError):
-            RunProfile("bad", engine="warp")
-        profile = RunProfile("ok", engine="fast")
-        assert RunProfile.from_dict(profile.to_dict()) == profile
-        # Pre-engine manifests (no engine key) load as engine=None.
-        legacy = {"name": "quick", "reduced": True}
-        assert RunProfile.from_dict(legacy).engine is None

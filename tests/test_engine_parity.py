@@ -1,14 +1,14 @@
-"""Differential parity: the fast engine must be bit-identical to the oracle.
+"""Differential parity: the cache core must be bit-identical to the oracle.
 
-The reference object-per-line core is the semantic oracle; the fast
-struct-of-arrays core (:mod:`repro.engine`) must reproduce it exactly —
+The object-per-line core under ``tests/oracle`` is the semantic oracle;
+the struct-of-arrays core the library builds must reproduce it exactly —
 per-access hit levels, latencies, dirty-victim flags and eviction streams,
 final cache state, and statistics counters.  Any divergence, however
-small, is a bug in the fast engine.
+small, is a bug in the production core.
 
 The fuzz matrix covers every policy in the replacement registry, both L1
 write policies, and seeded random traces of >= 10,000 accesses, plus a
-real WB-channel transmission end to end.
+real WB-channel transmission end to end and every defended L1.
 """
 
 import random
@@ -16,21 +16,29 @@ import random
 import pytest
 
 from repro.cache.cache import WritePolicy
+from repro.common.errors import ConfigurationError
 from repro.cache.configs import make_xeon_hierarchy
 from repro.engine import event_stream, fig6_workload, random_workload, run_trace
 from repro.replacement.registry import available_policies
+from tests.oracle import oracle_core
 
 SEED = 1234
 
 
 def build_pair(policy, write_policy=WritePolicy.WRITE_BACK, seed=SEED):
-    """Two hierarchies with identical RNG streams, one per engine."""
+    """Two hierarchies with identical RNG streams: oracle, production."""
     kwargs = dict(l1_policy=policy, l1_write_policy=write_policy)
-    reference = make_xeon_hierarchy(
-        rng=random.Random(seed), engine="reference", **kwargs
-    )
-    fast = make_xeon_hierarchy(rng=random.Random(seed), engine="fast", **kwargs)
+    with oracle_core():
+        reference = make_xeon_hierarchy(rng=random.Random(seed), **kwargs)
+    fast = make_xeon_hierarchy(rng=random.Random(seed), **kwargs)
     return reference, fast
+
+
+def on_both_cores(run):
+    """``run()`` on the oracle, then on the production core."""
+    with oracle_core():
+        reference = run()
+    return reference, run()
 
 
 def assert_state_identical(reference, fast):
@@ -88,8 +96,8 @@ def test_batched_loop_matches_generic_loop():
     trace = list(
         random_workload(num_accesses=10_000, working_set_lines=2048, seed=7)
     )
-    via_batch = make_xeon_hierarchy(rng=random.Random(3), engine="fast")
-    via_generic = make_xeon_hierarchy(rng=random.Random(3), engine="fast")
+    via_batch = make_xeon_hierarchy(rng=random.Random(3))
+    via_generic = make_xeon_hierarchy(rng=random.Random(3))
     batched = run_trace(via_batch, trace, owner=1)
     events = event_stream(via_generic, trace, owner=1)
     assert batched.hit_levels == [event[0] for event in events]
@@ -100,7 +108,7 @@ def test_batched_loop_matches_generic_loop():
 
 
 def test_flush_parity():
-    """clflush costs and after-states agree across engines."""
+    """clflush costs and after-states agree across the two cores."""
     trace = list(random_workload(num_accesses=2_000, seed=11))
     reference, fast = build_pair("tree-plru")
     run_trace(reference, trace, owner=0)
@@ -113,23 +121,20 @@ def test_flush_parity():
 
 
 def test_wb_channel_transmission_parity():
-    """A real WB-protocol transmission decodes identically on both engines."""
+    """A real WB-protocol transmission decodes identically on both cores."""
     from repro.channels.encoding import BinaryDirtyCodec
     from repro.channels.wb import WBChannelConfig, run_wb_channel
 
-    results = {}
-    for engine in ("reference", "fast"):
-        outcome = run_wb_channel(
+    reference, fast = on_both_cores(
+        lambda: run_wb_channel(
             WBChannelConfig(
                 codec=BinaryDirtyCodec(d_on=4),
                 period_cycles=1600,
                 message_bits=48,
                 seed=5,
-                hierarchy_overrides={"engine": engine},
             )
         )
-        results[engine] = outcome
-    reference, fast = results["reference"], results["fast"]
+    )
     assert reference.sent_bits == fast.sent_bits
     assert reference.received_bits == fast.received_bits
     assert reference.bit_error_rate == fast.bit_error_rate
@@ -137,7 +142,7 @@ def test_wb_channel_transmission_parity():
 
 @pytest.mark.parametrize("policy", available_policies())
 def test_telemetry_event_stream_parity(policy):
-    """With telemetry on, both engines emit bit-identical event streams.
+    """With telemetry on, both cores emit bit-identical event streams.
 
     The emission sites live in the shared hierarchy walk, so this holds
     by construction for the generic path — and enabling telemetry forces
@@ -184,39 +189,35 @@ def test_telemetry_event_stream_parity(policy):
 
 
 def test_experiment_results_identical_across_engines():
-    """A full registered experiment is engine-invariant."""
+    """A full registered experiment gives the same result on both cores."""
     from repro.experiments.profiles import QUICK
     from repro.experiments.registry import run_experiment
 
-    result_ref = run_experiment("table4", profile=QUICK, seed=0)
-    result_fast = run_experiment(
-        "table4", profile=QUICK.with_engine("fast"), seed=0
+    result_ref, result_fast = on_both_cores(
+        lambda: run_experiment("table4", profile=QUICK, seed=0)
     )
     assert result_ref.rows == result_fast.rows
     assert result_ref.series == result_fast.series
 
 
 def test_faulted_transmission_parity():
-    """An injected-fault run (drift, slips, drops, co-runner) is
-    engine-invariant: identical fault schedules AND identical bit errors."""
+    """An injected-fault run (drift, slips, drops, co-runner) is the same
+    on both cores: identical fault schedules AND identical bit errors."""
     from repro.channels.encoding import BinaryDirtyCodec
     from repro.channels.wb import WBChannelConfig, run_wb_channel
     from repro.faults import DEFAULT_FAULT_SPEC
 
-    results = {}
-    for engine in ("reference", "fast"):
-        outcome = run_wb_channel(
+    reference, fast = on_both_cores(
+        lambda: run_wb_channel(
             WBChannelConfig(
                 codec=BinaryDirtyCodec(d_on=1),
                 period_cycles=5500,
                 message_bits=64,
                 seed=3,
                 faults=DEFAULT_FAULT_SPEC.scaled(1.0),
-                hierarchy_overrides={"engine": engine},
             )
         )
-        results[engine] = outcome
-    reference, fast = results["reference"], results["fast"]
+    )
     assert reference.fault_summary == fast.fault_summary
     assert reference.fault_summary is not None
     assert reference.sent_bits == fast.sent_bits
@@ -225,23 +226,97 @@ def test_faulted_transmission_parity():
 
 
 def test_robust_protocol_parity():
-    """The full self-healing stack delivers identical outcomes per engine."""
+    """The full self-healing stack delivers identical outcomes per core."""
     from dataclasses import asdict
 
     from repro.channels.encoding import BinaryDirtyCodec
     from repro.channels.wb import WBChannelConfig, run_robust_wb_channel
     from repro.faults import DEFAULT_FAULT_SPEC
 
-    results = {}
-    for engine in ("reference", "fast"):
-        results[engine] = run_robust_wb_channel(
+    reference, fast = on_both_cores(
+        lambda: run_robust_wb_channel(
             WBChannelConfig(
                 codec=BinaryDirtyCodec(d_on=1),
                 period_cycles=5500,
                 message_bits=32,
                 seed=1,
                 faults=DEFAULT_FAULT_SPEC.scaled(1.0),
-                hierarchy_overrides={"engine": engine},
             )
         )
-    assert asdict(results["reference"]) == asdict(results["fast"])
+    )
+    assert asdict(reference) == asdict(fast)
+
+
+def _defended_builders():
+    from repro.defenses import (
+        make_partitioned_hierarchy,
+        make_plcache_hierarchy,
+        make_random_fill_hierarchy,
+        make_randomized_mapping_hierarchy,
+    )
+
+    return {
+        "plcache": lambda rng: make_plcache_hierarchy(rng=rng),
+        "partitioned": lambda rng: make_partitioned_hierarchy(rng=rng),
+        "random-fill": lambda rng: make_random_fill_hierarchy(rng=rng),
+        "randomized-mapping": lambda rng: make_randomized_mapping_hierarchy(
+            rekey_period_accesses=700, rng=rng
+        ),
+    }
+
+
+def _access_outcome(hierarchy, address, write, owner):
+    """An access's observables, or the error it raised.
+
+    With re-keying on, a store hit can fail: ``probe`` and ``mark_dirty``
+    each count an access, and a re-key flush that lands between them
+    empties the L1 under the store.  Both cores must fail the same way at
+    the same access.
+    """
+    try:
+        trace = hierarchy.access(address, write, owner)
+    except ConfigurationError as error:
+        return ("error", str(error))
+    return (
+        trace.hit_level,
+        trace.latency,
+        trace.l1_victim_dirty,
+        [(level, line.address, line.dirty) for level, line in trace.evictions],
+    )
+
+
+@pytest.mark.parametrize(
+    "defense", ["plcache", "partitioned", "random-fill", "randomized-mapping"]
+)
+def test_defended_l1_parity(defense):
+    """Each defended L1 matches its oracle twin access for access.
+
+    The twin is the defense class mixed over the oracle cache, so the
+    defense's own overrides run on object-per-line sets and policies.
+    Two owners share the L1 (locking and partitions bite), 2% of the
+    steps flush, and the re-keying period is short enough to flush the
+    randomized mapping several times.
+    """
+    build = _defended_builders()[defense]
+    reference, fast = on_both_cores(lambda: build(random.Random(SEED)))
+    assert type(reference.l1).__name__ == f"Oracle{type(fast.l1).__name__}"
+    rng = random.Random(SEED + 1)
+    pool = [rng.randrange(1 << 20) * 64 for _ in range(1536)]
+    for _ in range(6_000):
+        address = rng.choice(pool)
+        owner = rng.randrange(2)
+        if rng.random() < 0.02:
+            assert reference.flush(address, owner=owner) == fast.flush(
+                address, owner=owner
+            )
+            continue
+        write = rng.random() < 0.35
+        assert _access_outcome(reference, address, write, owner) == _access_outcome(
+            fast, address, write, owner
+        )
+    assert_state_identical(reference, fast)
+    assert reference.stats.snapshot() == fast.stats.snapshot()
+    for counter in ("bypassed_fills", "decorrelated_fills", "rekey_count", "key"):
+        assert getattr(reference.l1, counter, None) == getattr(fast.l1, counter, None)
+    if defense == "randomized-mapping":
+        assert fast.l1.rekey_count > 1

@@ -4,6 +4,10 @@ A cache level builds a set, with its seeded replacement policy, only
 when an access first reaches it.  Results must not notice: every set is
 seeded exactly as eager construction seeded it, whatever the build
 order, and the public ``sets`` sequence still presents all of them.
+
+The table is shared code, so each test takes the core as an input:
+``fast`` is the production cache, ``reference`` the object-per-line
+oracle of ``tests/oracle``.
 """
 
 import gc
@@ -19,10 +23,15 @@ from repro.channels.wb.protocol import WBChannelConfig, run_wb_channel
 from repro.common.rng import derive_rng
 from repro.cpu.noise import SchedulerNoise
 from repro.defenses.randomized_mapping import RandomizedMappingCache
-from repro.engine import cache_class, engine_context, random_workload
+from repro.engine import random_workload
 from repro.replacement.registry import make_policy_factory
+from tests.oracle import CORES as ENGINES
+from tests.oracle import OracleCache, core
 
-ENGINES = ("reference", "fast")
+
+def build_xeon(engine, **kwargs):
+    with core(engine):
+        return make_xeon_hierarchy(**kwargs)
 
 
 def built(hierarchy) -> int:
@@ -31,7 +40,7 @@ def built(hierarchy) -> int:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_fresh_hierarchy_builds_no_set(engine):
-    hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+    hierarchy = build_xeon(engine, rng=random.Random(0))
     assert built(hierarchy) == 0
     assert [len(level.sets) for level in hierarchy.levels] == [64, 512, 2048]
 
@@ -52,7 +61,7 @@ def test_one_fig6_transmission_builds_few_sets(engine, monkeypatch):
         seed=3,
         scheduler_noise=SchedulerNoise.disabled(),
     )
-    with engine_context(engine):
+    with core(engine):
         run_wb_channel(config)
     total = sum(len(table) for table in tables)
     assert total > 0
@@ -61,7 +70,7 @@ def test_one_fig6_transmission_builds_few_sets(engine, monkeypatch):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_dropped_hierarchy_is_freed_without_the_cycle_collector(engine):
-    hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+    hierarchy = build_xeon(engine, rng=random.Random(0))
     for address in range(0, 64 * 200, 64):
         hierarchy.access(address, address % 3 == 0)
     l1 = weakref.ref(hierarchy.l1)
@@ -76,7 +85,7 @@ def test_dropped_hierarchy_is_freed_without_the_cycle_collector(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("index", [64, 65, -1, -64])
 def test_out_of_range_index_raises_without_building(engine, index):
-    hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+    hierarchy = build_xeon(engine, rng=random.Random(0))
     with pytest.raises(IndexError):
         hierarchy.l1.sets[index]
     assert built(hierarchy) == 0
@@ -85,9 +94,7 @@ def test_out_of_range_index_raises_without_building(engine, index):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_iteration_matches_an_eagerly_built_hierarchy(engine):
     def build():
-        return make_xeon_hierarchy(
-            rng=random.Random(5), engine=engine, l1_policy="random"
-        )
+        return build_xeon(engine, rng=random.Random(5), l1_policy="random")
 
     lazy, eager = build(), build()
     for level in eager.levels:
@@ -118,7 +125,8 @@ def test_sets_are_seeded_as_sequential_derivations(engine):
         first_draws[len(first_draws)] = rng.getrandbits(32)
         return lru(ways, rng)
 
-    cache = cache_class(engine)("L2", 64 * 8 * 16, 8, 64, factory, rng=random.Random(4))
+    cache_cls = OracleCache if engine == "reference" else Cache
+    cache = cache_cls("L2", 64 * 8 * 16, 8, 64, factory, rng=random.Random(4))
     order = [13, 0, 7, 15, 2]
     for index in order:
         cache.sets[index]

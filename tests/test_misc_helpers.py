@@ -6,7 +6,8 @@ from repro.experiments.base import _format_cell
 from repro.experiments.process_models import idle_spin_program
 from repro.cpu.ops import SpinUntil
 from repro.noise.workloads import drain
-from repro.cache.line import CacheLine, EvictedLine
+from repro.cache.line import EvictedLine
+from tests.oracle.cache_set import CacheLine
 
 
 class TestFormatCell:

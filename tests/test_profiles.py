@@ -56,6 +56,13 @@ class TestRunProfile:
         del data["telemetry"]
         assert RunProfile.from_dict(data).telemetry is False
 
+    def test_from_dict_ignores_retired_engine_field(self):
+        # Profiles once carried the cache-core choice; manifests written
+        # then must still load, to the same profile.
+        data = dict(QUICK.to_dict(), engine="fast")
+        assert RunProfile.from_dict(data) == QUICK
+        assert "engine" not in QUICK.to_dict()
+
 
 class TestResolveProfile:
     def test_none_means_full(self):

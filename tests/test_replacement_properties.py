@@ -1,4 +1,8 @@
-"""Property-based invariants that every replacement policy must satisfy."""
+"""Property-based invariants that every replacement policy must satisfy.
+
+Each property runs over the production policies and, in the ``Oracle``
+subclasses, over their object-per-line twins in ``tests/oracle``.
+"""
 
 import random
 
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replacement import available_policies, make_policy_factory
+from tests.oracle import replacement as oracle_replacement
 
 WAYS = 8
 
@@ -32,17 +37,19 @@ def exercise(policy, ops):
 
 @pytest.mark.parametrize("name", available_policies())
 class TestUniversalInvariants:
+    make_policy_factory = staticmethod(make_policy_factory)
+
     @given(ops=operations, seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=30, deadline=None)
     def test_victims_always_in_range(self, name, ops, seed):
-        policy = make_policy_factory(name)(WAYS, random.Random(seed))
+        policy = self.make_policy_factory(name)(WAYS, random.Random(seed))
         for way in exercise(policy, ops):
             assert 0 <= way < WAYS
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None)
     def test_randomize_state_keeps_victims_valid(self, name, seed):
-        policy = make_policy_factory(name)(WAYS, random.Random(seed))
+        policy = self.make_policy_factory(name)(WAYS, random.Random(seed))
         policy.randomize_state()
         for _ in range(WAYS * 2):
             way = policy.victim()
@@ -52,15 +59,15 @@ class TestUniversalInvariants:
     @given(ops=operations)
     @settings(max_examples=20, deadline=None)
     def test_deterministic_given_seed(self, name, ops):
-        first = make_policy_factory(name)(WAYS, random.Random(99))
-        second = make_policy_factory(name)(WAYS, random.Random(99))
+        first = self.make_policy_factory(name)(WAYS, random.Random(99))
+        second = self.make_policy_factory(name)(WAYS, random.Random(99))
         assert exercise(first, ops) == exercise(second, ops)
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=15, deadline=None)
     def test_sustained_fills_eventually_cover_every_way(self, name, seed):
         # Liveness: no way is starved forever under pure miss traffic.
-        policy = make_policy_factory(name)(WAYS, random.Random(seed))
+        policy = self.make_policy_factory(name)(WAYS, random.Random(seed))
         victims = set()
         for _ in range(WAYS * 64):
             way = policy.victim()
@@ -73,13 +80,68 @@ class TestUniversalInvariants:
 
 @pytest.mark.parametrize("name", ["lru", "tree-plru", "bit-plru", "nru"])
 class TestRecencyRespectingPolicies:
+    make_policy_factory = staticmethod(make_policy_factory)
+
     @given(
         protected=st.integers(min_value=0, max_value=WAYS - 1),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=25, deadline=None)
     def test_never_evicts_the_just_touched_way(self, name, protected, seed):
-        policy = make_policy_factory(name)(WAYS, random.Random(seed))
+        policy = self.make_policy_factory(name)(WAYS, random.Random(seed))
         policy.randomize_state()
         policy.on_hit(protected)
         assert policy.victim() != protected
+
+
+class TestOracleUniversalInvariants(TestUniversalInvariants):
+    make_policy_factory = staticmethod(oracle_replacement.make_policy_factory)
+
+
+class TestOracleRecencyRespectingPolicies(TestRecencyRespectingPolicies):
+    make_policy_factory = staticmethod(oracle_replacement.make_policy_factory)
+
+
+#: Scripts for the twin comparison: fills, hits, invalidations, scrambles.
+twin_operations = st.lists(
+    st.one_of(
+        st.just("fill"),
+        st.just("randomize"),
+        st.integers(min_value=0, max_value=WAYS - 1),
+        st.tuples(st.just("invalidate"), st.integers(min_value=0, max_value=WAYS - 1)),
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("name", available_policies())
+class TestProductionMatchesOracle:
+    @given(
+        ops=twin_operations,
+        dirty=st.lists(st.booleans(), min_size=WAYS, max_size=WAYS),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_same_victims_and_draws(self, name, ops, dirty, seed):
+        rngs = random.Random(seed), random.Random(seed)
+        production = make_policy_factory(name)(WAYS, rngs[0])
+        oracle = oracle_replacement.make_policy_factory(name)(WAYS, rngs[1])
+        pair = (production, oracle)
+        for op in ops:
+            if op == "fill":
+                for policy in pair:
+                    if policy.wants_dirty_hint:
+                        policy.notify_dirty_ways(tuple(dirty))
+                victims = [policy.victim() for policy in pair]
+                assert victims[0] == victims[1]
+                for policy in pair:
+                    policy.on_fill(victims[0])
+            for policy in pair:
+                if op == "randomize":
+                    policy.randomize_state()
+                elif isinstance(op, tuple):
+                    policy.on_invalidate(op[1])
+                elif isinstance(op, int):
+                    policy.on_hit(op)
+            assert rngs[0].getstate() == rngs[1].getstate()
+        assert production.victim() == oracle.victim()

@@ -381,6 +381,24 @@ class TestInterruptAndResume:
         assert resumed.ok
         assert resumed.canonical_json() == complete.canonical_json()
 
+    def test_resume_loads_manifest_whose_profiles_carry_engine(self, tmp_path):
+        # Profiles once had an ``engine`` field; a manifest written then
+        # must still resume (the field is ignored on load).
+        out = tmp_path / "old"
+        complete = run_tasks(self._plan(), jobs=1, out_dir=out)
+        path = out / "manifest.json"
+        data = json.loads(path.read_text())
+        for entry in data["entries"]:
+            entry["profile"]["engine"] = "reference"
+        path.write_text(json.dumps(data))
+        resumed = run_tasks(
+            self._plan("tests.fake_experiments:always_crash"),
+            jobs=1,
+            resume_from=out,
+        )
+        assert resumed.ok
+        assert resumed.canonical_json() == complete.canonical_json()
+
     def test_resume_reruns_non_ok_entries(self):
         plan = self._plan()
         broken = run_tasks(

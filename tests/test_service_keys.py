@@ -38,13 +38,14 @@ class TestCacheKey:
             entry_point="tests.fake_experiments:well_behaved",
         ) != base
 
-    def test_engine_knob_perturbs_the_key(self):
-        # Engines produce bit-identical results, but the profile is part
-        # of the declared key material — keys stay conservative.
-        reference = RunProfile("quick", reduced=True, engine="reference")
-        fast = RunProfile("quick", reduced=True, engine="fast")
-        assert (cache_key("fig6", profile=reference)
-                != cache_key("fig6", profile=fast))
+    def test_key_material_has_no_engine_field(self):
+        # One cache core remains, so a stored result cannot depend on a
+        # core choice and the key must not carry one.
+        material = key_material("fig6", profile="quick", seed=0)
+        assert "engine" not in canonical_json(material)
+        assert set(material["profile"]) == {
+            "name", "reduced", "scale", "telemetry",
+        }
 
     def test_material_carries_both_schema_versions(self):
         material = key_material("fig6", profile="quick", seed=0)
