@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the fast struct-of-arrays engine against the reference core.
+"""Benchmark the struct-of-arrays cache core against the test oracle.
 
 Replays the Figure 6 covert-channel workload and a mixed random workload
-through both engines, verifies the result fingerprints are identical
-(parity failure is a hard error), and reports the throughput ratio.
-Writes ``BENCH_engine.json`` so the speedup is tracked in-repo.
+through the production core (``fast``) and the object-per-line oracle
+kept under ``tests/oracle`` (``reference``), verifies the result
+fingerprints are identical (parity failure is a hard error), and reports
+the throughput ratio.  Writes ``BENCH_engine.json`` so the speedup is
+tracked in-repo.  Run it from a checkout: the oracle is test code.
 
 Usage::
 
@@ -15,11 +17,11 @@ Usage::
         # more than --max-regression (default 30%) below the baseline
 
 The regression gate compares *speedup ratios*, not absolute seconds:
-both engines run on the same machine in a single invocation, so the
+both cores run on the same machine in a single invocation, so the
 ratio is hardware-neutral and safe to compare against a committed
 baseline measured elsewhere.
 
-The fast engine is additionally timed with a telemetry bus attached but
+The production core is additionally timed with a telemetry bus attached but
 disabled (``speedup_with_idle_bus``).  Telemetry is designed to be
 zero-cost when off — a disabled bus keeps the specialised SoA loop
 eligible — so this ratio must track ``speedup``; the gate fails if the
@@ -27,22 +29,28 @@ bus's mere presence starts costing throughput.
 
 Only the replay is timed.  Cache sets are built on first touch, so each
 timed hierarchy has every set built before the clock starts; otherwise
-the timer would also count construction, which differs per engine.
+the timer would also count construction, which differs per core.
 Schema v4 dropped the v3 ``batch_sweep`` section with the batch engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import random
 import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cache.configs import make_xeon_hierarchy
-from repro.engine import fig6_workload, random_workload, run_trace
+# The oracle lives in the test tree (``tests/oracle``).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.cache.configs import make_xeon_hierarchy  # noqa: E402
+from repro.engine import fig6_workload, random_workload, run_trace  # noqa: E402
+from tests.oracle import oracle_core  # noqa: E402
 
 #: Workload builders keyed by name; each returns a list of (address, is_write).
 WORKLOADS: Dict[str, Callable[[bool], List[Tuple[int, bool]]]] = {
@@ -62,8 +70,14 @@ WORKLOADS: Dict[str, Callable[[bool], List[Tuple[int, bool]]]] = {
 SCHEMA_VERSION = 4
 
 
-def time_engine(
-    engine: str,
+def build_hierarchy(core: str):
+    """A Xeon hierarchy on ``core``: "reference" (oracle) or "fast"."""
+    with oracle_core() if core == "reference" else contextlib.nullcontext():
+        return make_xeon_hierarchy(rng=random.Random(0))
+
+
+def time_core(
+    core: str,
     trace: List[Tuple[int, bool]],
     repeats: int,
     idle_bus: bool = False,
@@ -76,7 +90,7 @@ def time_engine(
     best = float("inf")
     fingerprint = None
     for _ in range(repeats):
-        hierarchy = make_xeon_hierarchy(rng=random.Random(0), engine=engine)
+        hierarchy = build_hierarchy(core)
         if idle_bus:
             from repro.telemetry import TelemetryBus
 
@@ -93,18 +107,18 @@ def time_engine(
             fingerprint = current
         elif fingerprint != current:
             raise AssertionError(
-                f"{engine} engine is non-deterministic on repeats: "
+                f"{core} core is non-deterministic on repeats: "
                 f"{fingerprint} != {current}"
             )
     return best, fingerprint
 
 
 def bench_workload(name: str, quick: bool, repeats: int) -> Dict[str, object]:
-    """Measure one workload on both engines and check parity."""
+    """Measure one workload on both cores and check parity."""
     trace = WORKLOADS[name](quick)
-    ref_seconds, ref_fp = time_engine("reference", trace, repeats)
-    fast_seconds, fast_fp = time_engine("fast", trace, repeats)
-    idle_seconds, idle_fp = time_engine("fast", trace, repeats, idle_bus=True)
+    ref_seconds, ref_fp = time_core("reference", trace, repeats)
+    fast_seconds, fast_fp = time_core("fast", trace, repeats)
+    idle_seconds, idle_fp = time_core("fast", trace, repeats, idle_bus=True)
     if ref_fp != fast_fp:
         raise AssertionError(
             f"PARITY FAILURE on workload {name!r}: "
@@ -113,7 +127,7 @@ def bench_workload(name: str, quick: bool, repeats: int) -> Dict[str, object]:
     if idle_fp != fast_fp:
         raise AssertionError(
             f"PARITY FAILURE on workload {name!r}: an idle telemetry bus "
-            f"changed the fast engine's results: {fast_fp} != {idle_fp}"
+            f"changed the production core's results: {fast_fp} != {idle_fp}"
         )
     return {
         "workload": name,
@@ -177,7 +191,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=3,
         metavar="N",
-        help="timing repeats per engine; best-of-N is reported (default 3)",
+        help="timing repeats per core; best-of-N is reported (default 3)",
     )
     parser.add_argument(
         "--out",

@@ -164,8 +164,8 @@ PAPER_CONTEXT = {
         "while the WB sender's one-store-per-bit pattern completes its "
         "whole payload without the alarm ever firing. The alarm clock, "
         "flip event id and pre/post capacities are bit-deterministic "
-        "across engines and across stream clients dropping and "
-        "resuming mid-run (tests/test_closed_loop.py)."
+        "against the test oracle and across stream clients dropping "
+        "and resuming mid-run (tests/test_closed_loop.py)."
     ),
     "fault_tolerance": (
         "Robustness extension beyond the paper: the same faulted channel "
@@ -233,11 +233,6 @@ or run everything in parallel, persisting a manifest::
 
     wb-experiments --all --jobs 4 --out results/
 
-Every experiment also runs on the fast struct-of-arrays engine
-(``--engine fast``); results are bit-identical to the reference engine
-(enforced by ``tests/test_engine_parity.py``), only faster — see the
-committed ``BENCH_engine.json`` from ``scripts/bench_engine.py``.
-
 Re-runs are memoisable: ``python -m repro.service`` serves every entry
 over HTTP from a content-addressed result store, so resubmitting an
 ``(experiment, profile, seed)`` already computed returns the stored
@@ -254,7 +249,7 @@ JSON in ``scenarios/``), the module body only shapes results from the
 spec-compiled measurement, and ``tests/test_scenario_golden.py`` pins
 the rebase bit-identical to the pre-spec output.  The same specs (and
 arbitrary variants) run unregistered via ``repro.scenario.run_scenario``
-or an inline ``{"scenario": ...}`` job submission — see the README's
+or an inline ``{{"scenario": ...}}`` job submission — see the README's
 "Declarative scenarios" section.
 
 """

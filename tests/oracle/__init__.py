@@ -19,9 +19,9 @@ own for this.
 from __future__ import annotations
 
 import contextlib
+import importlib
 from typing import Iterator
-
-import pytest
+from unittest import mock
 
 from tests.oracle.cache import OracleCache
 from tests.oracle.cache_set import CacheSet
@@ -75,19 +75,21 @@ def oracle_twin(defense_cls: type) -> type:
 @contextlib.contextmanager
 def oracle_core() -> Iterator[None]:
     """Build the object-per-line oracle wherever the library builds a cache."""
-    import importlib
+    with contextlib.ExitStack() as stack:
 
-    with pytest.MonkeyPatch.context() as patch:
+        def patch(module, name, value):
+            stack.enter_context(mock.patch.object(module, name, value))
+
         for module_name, defense in _BUILDER_MODULES:
             module = importlib.import_module(module_name)
-            patch.setattr(module, "Cache", OracleCache)
-            patch.setattr(module, "make_policy_factory", make_policy_factory)
+            patch(module, "Cache", OracleCache)
+            patch(module, "make_policy_factory", make_policy_factory)
             if defense is not None:
-                patch.setattr(module, defense, oracle_twin(getattr(module, defense)))
+                patch(module, defense, oracle_twin(getattr(module, defense)))
         for module_name in _LONE_SET_MODULES:
             module = importlib.import_module(module_name)
-            patch.setattr(module, "FastSet", CacheSet)
-            patch.setattr(module, "make_policy_factory", make_policy_factory)
+            patch(module, "FastSet", CacheSet)
+            patch(module, "make_policy_factory", make_policy_factory)
         yield
 
 
