@@ -56,8 +56,6 @@ _BUILDER_MODULES = (
 #: Experiments that build lone sets (``FastSet``) from policy factories.
 _LONE_SET_MODULES = ("repro.experiments.table2", "repro.experiments.table5")
 
-_TWINS: dict = {}
-
 
 def oracle_twin(defense_cls: type) -> type:
     """``defense_cls`` mixed over :class:`OracleCache`.
@@ -65,11 +63,7 @@ def oracle_twin(defense_cls: type) -> type:
     The defense's own overrides run first; everything they delegate to
     (``super()`` calls and the inherited entry points) is the oracle's.
     """
-    twin = _TWINS.get(defense_cls)
-    if twin is None:
-        twin = type(f"Oracle{defense_cls.__name__}", (defense_cls, OracleCache), {})
-        _TWINS[defense_cls] = twin
-    return twin
+    return type(f"Oracle{defense_cls.__name__}", (defense_cls, OracleCache), {})
 
 
 @contextlib.contextmanager
