@@ -234,7 +234,7 @@ def transmit_symbol_schedule(
     seed stream.  Fault randomness deliberately lives on a *separate*
     stream (``derive_seed(config.seed, "faults/...")``), so enabling
     faults never perturbs the simulated machine itself, and the parity
-    suite can compare faulted runs across engines.
+    suite can compare faulted runs against the test oracle.
 
     ``fault_round``/``symbol_origin``/``bench_seed`` exist for the ARQ
     retransmission rounds: each round draws a fresh fault schedule and a

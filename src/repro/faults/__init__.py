@@ -4,8 +4,8 @@ Perturbs a running channel and the simulator around it — descheduling
 windows, co-runner bursts, threshold drift, dropped/duplicated probe
 windows — and the runner itself (worker crashes and hangs).  Everything
 is a pure function of a seed: the ``fault_tolerance`` experiment and the
-parity suite rely on the same seed reproducing the same faults on both
-simulation engines.
+parity suite rely on the same seed reproducing the same faults on the
+cache core and on the test oracle.
 
 See DESIGN.md ("Fault model and the self-healing protocol") for the
 model and :mod:`repro.channels.wb.robust` for the protocol stack that

@@ -7,7 +7,8 @@ latency drift, and where co-runner bursts land.  It is a pure function
 of ``(spec, seed, geometry)`` — every fault class draws from its own
 labelled child generator (:func:`repro.common.rng.derive_rng`), so
 changing one class's rate never perturbs another class's event stream,
-and the same seed reproduces the same faults on both simulation engines.
+and the same seed reproduces the same faults on the cache core and on
+the test oracle.
 """
 
 from __future__ import annotations

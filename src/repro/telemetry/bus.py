@@ -9,10 +9,10 @@ Design constraints, in order:
    :mod:`repro.engine.trace` additionally refuses to run with telemetry
    enabled, so enabling the bus routes ``run_trace`` through the generic
    instrumented path — the SoA loop itself never pays for observability.
-2. **Engine-independent streams.**  All emission sites live in
-   :class:`~repro.cache.hierarchy.CacheHierarchy`, which both engines
-   share, so reference and fast hierarchies produce bit-identical event
-   streams (enforced by the parity suite).
+2. **Core-independent streams.**  All emission sites live in
+   :class:`~repro.cache.hierarchy.CacheHierarchy`, so the cache core and
+   the object-per-line test oracle produce bit-identical event streams
+   (enforced by the parity suite).
 3. **Composable subscribers.**  A subscriber is any object with an
    ``on_event(event)`` method; ``on_mark(label)`` and ``finish()`` are
    optional lifecycle hooks (see :class:`Subscriber`).

@@ -6,7 +6,7 @@ the level, set index, issuing owner, dirty state and a logical timestamp
 (the demand-access ordinal drawn from :meth:`TelemetryBus.tick
 <repro.telemetry.bus.TelemetryBus.tick>`).
 
-Events are plain :class:`typing.NamedTuple` values so that two engines
+Events are plain :class:`typing.NamedTuple` values so that two cores
 emitting "the same" stream compare equal element-wise — the parity suite
 in ``tests/test_engine_parity.py`` relies on tuple equality.
 

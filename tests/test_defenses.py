@@ -183,6 +183,32 @@ class TestRandomizedMapping:
         hierarchy.load(0x5000, owner=0)
         assert hierarchy.l1.probe(0x5000)
 
+    def test_each_operation_counts_one_access_at_its_keyed_set(self):
+        # The base cache splits addresses inline; every entry point must
+        # still reach the keyed mapping, exactly once (it counts toward
+        # re-keying).
+        l1 = make_randomized_mapping_hierarchy(
+            rekey_period_accesses=1_000, rng=random.Random(0)
+        ).l1
+        address = 0x5040
+        operations = (
+            lambda: l1.fill(address, dirty=False, owner=0),
+            lambda: l1.probe(address),
+            lambda: l1.lookup(address, owner=1),
+            lambda: l1.mark_dirty(address),
+            lambda: l1.is_dirty(address),
+            lambda: l1.invalidate(address),
+        )
+        for operation in operations:
+            before = l1._accesses_since_rekey
+            operation()
+            assert l1._accesses_since_rekey == before + 1
+        keyed = l1.sets[l1.set_index(address)]
+        assert keyed.way_states() == ((False, None, False, False, None),) * 8
+        l1.fill(address, dirty=True, owner=0)
+        assert keyed.resident_tags() == [l1.tag_of(address)]
+        assert l1.is_dirty(address) and l1.probe(address)
+
     def test_rekey_flushes_and_advances_epoch(self):
         hierarchy = make_randomized_mapping_hierarchy(
             rekey_period_accesses=10, rng=random.Random(0)

@@ -120,18 +120,21 @@ class TestProductionMatchesOracle:
         ops=twin_operations,
         dirty=st.lists(st.booleans(), min_size=WAYS, max_size=WAYS),
         seed=st.integers(min_value=0, max_value=2**16),
+        ways=st.sampled_from([2, 4, WAYS]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_same_victims_and_draws(self, name, ops, dirty, seed):
+    @settings(max_examples=40, deadline=None)
+    def test_same_victims_and_draws(self, name, ops, dirty, seed, ways):
+        # Small sets reach rare states (e.g. every NRU bit set after a
+        # scramble) that an 8-way set seldom does.
         rngs = random.Random(seed), random.Random(seed)
-        production = make_policy_factory(name)(WAYS, rngs[0])
-        oracle = oracle_replacement.make_policy_factory(name)(WAYS, rngs[1])
+        production = make_policy_factory(name)(ways, rngs[0])
+        oracle = oracle_replacement.make_policy_factory(name)(ways, rngs[1])
         pair = (production, oracle)
         for op in ops:
             if op == "fill":
                 for policy in pair:
                     if policy.wants_dirty_hint:
-                        policy.notify_dirty_ways(tuple(dirty))
+                        policy.notify_dirty_ways(tuple(dirty[:ways]))
                 victims = [policy.victim() for policy in pair]
                 assert victims[0] == victims[1]
                 for policy in pair:
@@ -140,8 +143,8 @@ class TestProductionMatchesOracle:
                 if op == "randomize":
                     policy.randomize_state()
                 elif isinstance(op, tuple):
-                    policy.on_invalidate(op[1])
+                    policy.on_invalidate(op[1] % ways)
                 elif isinstance(op, int):
-                    policy.on_hit(op)
+                    policy.on_hit(op % ways)
             assert rngs[0].getstate() == rngs[1].getstate()
         assert production.victim() == oracle.victim()
