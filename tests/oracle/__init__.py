@@ -43,7 +43,7 @@ CORES = ("reference", "fast")
 #: Modules whose hierarchy builders look up ``Cache`` and
 #: ``make_policy_factory`` by name, plus the defended L1 class each
 #: defense module builds (None for none).
-_BUILDER_MODULES = (
+BUILDER_MODULES = (
     ("repro.cache.configs", None),
     ("repro.coherence.hierarchy", None),
     ("repro.channels.wb.l2", None),
@@ -54,7 +54,7 @@ _BUILDER_MODULES = (
 )
 
 #: Experiments that build lone sets (``FastSet``) from policy factories.
-_LONE_SET_MODULES = ("repro.experiments.table2", "repro.experiments.table5")
+LONE_SET_MODULES = ("repro.experiments.table2", "repro.experiments.table5")
 
 
 def oracle_twin(defense_cls: type) -> type:
@@ -74,13 +74,13 @@ def oracle_core() -> Iterator[None]:
         def patch(module, name, value):
             stack.enter_context(mock.patch.object(module, name, value))
 
-        for module_name, defense in _BUILDER_MODULES:
+        for module_name, defense in BUILDER_MODULES:
             module = importlib.import_module(module_name)
             patch(module, "Cache", OracleCache)
             patch(module, "make_policy_factory", make_policy_factory)
             if defense is not None:
                 patch(module, defense, oracle_twin(getattr(module, defense)))
-        for module_name in _LONE_SET_MODULES:
+        for module_name in LONE_SET_MODULES:
             module = importlib.import_module(module_name)
             patch(module, "FastSet", CacheSet)
             patch(module, "make_policy_factory", make_policy_factory)

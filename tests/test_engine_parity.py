@@ -320,3 +320,39 @@ def test_defended_l1_parity(defense):
         assert getattr(reference.l1, counter, None) == getattr(fast.l1, counter, None)
     if defense == "randomized-mapping":
         assert fast.l1.rekey_count > 1
+
+
+def test_oracle_core_patches_every_builder():
+    """Every module that builds caches or lone sets by name is patched.
+
+    A builder the oracle missed would make a parity test compare the
+    production core with itself.  Modules that only define, re-export or
+    type-check these names are listed as such.
+    """
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.cache.cache import Cache
+    from repro.cache.cache_set import FastSet
+    from repro.replacement.registry import make_policy_factory
+    from tests.oracle import BUILDER_MODULES, LONE_SET_MODULES
+
+    not_builders = {
+        "repro.cache.cache",  # defines Cache, imports FastSet
+        "repro.cache.cache_set",  # defines FastSet
+        "repro.cache.hierarchy",  # type hints
+        "repro.engine.fast_set",  # re-export
+        "repro.engine.trace",  # `type(level) is Cache` selects the SoA loop
+        "repro.replacement.registry",  # defines make_policy_factory
+    }
+    names = {"Cache": Cache, "FastSet": FastSet, "make_policy_factory": make_policy_factory}
+    binders = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg or info.name.endswith("__main__"):
+            continue
+        namespace = vars(importlib.import_module(info.name))
+        if any(namespace.get(name) is obj for name, obj in names.items()):
+            binders.add(info.name)
+    patched = {name for name, _ in BUILDER_MODULES} | set(LONE_SET_MODULES)
+    assert binders - not_builders == patched
