@@ -45,6 +45,12 @@ class TestRegistry:
         policy = make(name)
         assert policy.ways == 8
 
+    @pytest.mark.parametrize("name", ALL_POLICY_NAMES)
+    def test_every_policy_rejects_nonpositive_ways(self, name):
+        for ways in (0, -4):
+            with pytest.raises(ConfigurationError):
+                make(name, ways=ways)
+
 
 class TestTrueLRU:
     def test_evicts_oldest(self):
