@@ -18,7 +18,7 @@ kept in sync by every state transition (fill, invalidate, full clear), so
 ``find`` never scans.  ``dirty_count``/``valid_count`` are maintained
 incrementally for the same reason — experiments poll them every period.
 All line-state changes must therefore go through this class; mutating a
-:class:`~repro.cache.line.CacheLine` directly would desynchronise the
+:class:`CacheLine` directly would desynchronise the
 index and the counters (``scan_counts`` exists so tests can verify they
 never drift).
 """
